@@ -7,7 +7,7 @@
 //! - [`memory_model`] — preserved program order per memory model
 //!   (SC/TSO/PSO), spawn/join synchronization edges, and the dense
 //!   transitive closure [`PoClosure`] (the static must-happen-before
-//!   relation);
+//!   relation), bundled per (program, memory model) as [`ProgramOrder`];
 //! - [`prune`] — the interference-pruning pass: must-happen-before,
 //!   lockset and thread-locality analyses cooperate to shrink the
 //!   `V_rf`/`V_ws` selector sets the encoder would otherwise emit, each
@@ -28,5 +28,5 @@ pub mod memory_model;
 pub mod prune;
 
 pub use check::check_report;
-pub use memory_model::{po_pairs, preserved, PoClosure};
-pub use prune::{analyze, guard_implies, Justification, PruneCounters, PruneReport};
+pub use memory_model::{po_pairs, preserved, PathFinder, PoClosure, ProgramOrder};
+pub use prune::{analyze, analyze_order, guard_implies, Justification, PruneCounters, PruneReport};

@@ -103,56 +103,202 @@ pub fn po_pairs(ssa: &SsaProgram, mm: MemoryModel) -> Vec<(usize, usize)> {
     pairs
 }
 
+/// Successor lists of an edge list in compressed-row form; each node's
+/// successors keep the order of their pairs.
+struct Adjacency {
+    start: Vec<usize>,
+    succ: Vec<usize>,
+}
+
+impl Adjacency {
+    fn new(n: usize, pairs: &[(usize, usize)]) -> Adjacency {
+        let mut start = vec![0usize; n + 1];
+        for &(a, _) in pairs {
+            start[a + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut succ = vec![0usize; pairs.len()];
+        for &(a, b) in pairs {
+            succ[fill[a]] = b;
+            fill[a] += 1;
+        }
+        Adjacency { start, succ }
+    }
+
+    fn of(&self, x: usize) -> &[usize] {
+        &self.succ[self.start[x]..self.start[x + 1]]
+    }
+}
+
 /// Reachability over the fixed program-order edges (dense bitset closure).
+#[derive(Clone)]
 pub struct PoClosure {
     n: usize,
     words: usize,
     bits: Vec<u64>,
 }
 
+impl std::fmt::Debug for PoClosure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoClosure")
+            .field("n", &self.n)
+            .finish_non_exhaustive()
+    }
+}
+
 impl PoClosure {
-    /// Builds the closure of `pairs` over `n` events.
+    /// Builds the closure of `pairs` over `n` events. Panics if the pairs
+    /// contain a cycle; [`PoClosure::try_new`] reports that as `None`.
     pub fn new(n: usize, pairs: &[(usize, usize)]) -> PoClosure {
+        PoClosure::try_new(n, pairs).expect("program order must be acyclic")
+    }
+
+    /// Builds the closure of `pairs` over `n` events, or `None` if the
+    /// pairs contain a cycle.
+    ///
+    /// Rows are filled in reverse topological order, so every successor's
+    /// row is final when it is merged. A successor whose bit is already set
+    /// is skipped: it was reached through an earlier successor, whose
+    /// closed row already holds its whole row. Under TSO/PSO a node's first
+    /// successor is its nearest preserved one, which reaches most of the
+    /// rest, so the explicit pairs cost one bit test each instead of a row.
+    pub fn try_new(n: usize, pairs: &[(usize, usize)]) -> Option<PoClosure> {
         let words = n.div_ceil(64);
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let adj = Adjacency::new(n, pairs);
         let mut indeg = vec![0usize; n];
-        for &(a, b) in pairs {
-            adj[a].push(b);
+        for &(_, b) in pairs {
             indeg[b] += 1;
         }
-        // Kahn topological order (the po graph is a DAG by construction).
+        // Kahn topological order.
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut topo = Vec::with_capacity(n);
         while let Some(x) = queue.pop() {
             topo.push(x);
-            for &y in &adj[x] {
+            for &y in adj.of(x) {
                 indeg[y] -= 1;
                 if indeg[y] == 0 {
                     queue.push(y);
                 }
             }
         }
-        assert_eq!(topo.len(), n, "program order must be acyclic");
-        // Propagate reachability in reverse topological order.
+        if topo.len() != n {
+            return None;
+        }
         let mut bits = vec![0u64; n * words];
         for &x in topo.iter().rev() {
-            for &y in &adj[x] {
-                bits[x * words + y / 64] |= 1 << (y % 64);
-                // reach(x) |= reach(y)
-                let (xs, ys) = (x * words, y * words);
-                for w in 0..words {
-                    let v = bits[ys + w];
-                    bits[xs + w] |= v;
+            let xs = x * words;
+            for &y in adj.of(x) {
+                let (word, bit) = (xs + y / 64, 1u64 << (y % 64));
+                if bits[word] & bit != 0 {
+                    continue;
+                }
+                bits[word] |= bit;
+                // reach(x) |= reach(y); y ≠ x, so the rows are disjoint.
+                let (lo, hi) = bits.split_at_mut(xs.max(y * words));
+                let (row_x, row_y) = if x < y {
+                    (&mut lo[xs..xs + words], &hi[..words])
+                } else {
+                    (&mut hi[..words], &lo[y * words..y * words + words])
+                };
+                for (a, b) in row_x.iter_mut().zip(row_y) {
+                    *a |= b;
                 }
             }
         }
-        PoClosure { n, words, bits }
+        Some(PoClosure { n, words, bits })
     }
 
     /// `true` if a fixed-edge path `a →⁺ b` exists.
     pub fn reaches(&self, a: usize, b: usize) -> bool {
         debug_assert!(a < self.n && b < self.n);
         self.bits[a * self.words + b / 64] >> (b % 64) & 1 == 1
+    }
+}
+
+/// The fixed program order of one SSA program under one memory model: the
+/// explicit edge list ([`po_pairs`]) and its closure. Built once and
+/// shared by the pruning pass (which keeps it in its report), the encoder
+/// and the pre-blast size estimate.
+#[derive(Clone, Debug)]
+pub struct ProgramOrder {
+    /// The memory model the order was computed under.
+    pub mm: MemoryModel,
+    /// Fixed edges, as emitted by [`po_pairs`].
+    pub pairs: Vec<(usize, usize)>,
+    /// Reachability over `pairs`.
+    pub closure: PoClosure,
+}
+
+impl ProgramOrder {
+    /// Computes the program order of `ssa` under `mm`, or `None` if its
+    /// edges form a cycle (a malformed SSA event stream).
+    pub fn new(ssa: &SsaProgram, mm: MemoryModel) -> Option<ProgramOrder> {
+        let pairs = po_pairs(ssa, mm);
+        let closure = PoClosure::try_new(ssa.events.len(), &pairs)?;
+        Some(ProgramOrder { mm, pairs, closure })
+    }
+}
+
+/// Shortest fixed-edge paths by breadth-first search. The search stops as
+/// soon as the target is discovered, and its buffers are reused across
+/// queries, so a query costs only what it visits.
+pub struct PathFinder {
+    adj: Adjacency,
+    /// BFS parent of each node discovered under the current stamp.
+    prev: Vec<usize>,
+    stamp: Vec<u32>,
+    gen: u32,
+    queue: std::collections::VecDeque<usize>,
+}
+
+impl PathFinder {
+    /// A path finder over the edges `pairs` of an `n`-node graph.
+    pub fn new(n: usize, pairs: &[(usize, usize)]) -> PathFinder {
+        PathFinder {
+            adj: Adjacency::new(n, pairs),
+            prev: vec![0; n],
+            stamp: vec![0; n],
+            gen: 0,
+            queue: std::collections::VecDeque::new(),
+        }
+    }
+
+    /// The shortest path `from →* to` as node ids, endpoints included (just
+    /// `[from]` when `from == to`); among shortest paths, the one BFS finds
+    /// first when it expands successors in edge order.
+    pub fn path(&mut self, from: usize, to: usize) -> Option<Vec<usize>> {
+        if from == to {
+            return Some(vec![from]);
+        }
+        self.gen += 1;
+        let gen = self.gen;
+        self.queue.clear();
+        self.queue.push_back(from);
+        self.stamp[from] = gen;
+        while let Some(x) = self.queue.pop_front() {
+            for &y in self.adj.of(x) {
+                if self.stamp[y] == gen {
+                    continue;
+                }
+                self.stamp[y] = gen;
+                self.prev[y] = x;
+                if y == to {
+                    let mut p = vec![to];
+                    let mut cur = to;
+                    while cur != from {
+                        cur = self.prev[cur];
+                        p.push(cur);
+                    }
+                    p.reverse();
+                    return Some(p);
+                }
+                self.queue.push_back(y);
+            }
+        }
+        None
     }
 }
 

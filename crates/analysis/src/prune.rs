@@ -28,7 +28,7 @@
 //! [`crate::check::check_report`] re-verifies independently; soundness of
 //! each rule is argued in DESIGN.md §6h.
 
-use crate::memory_model::{po_pairs, PoClosure};
+use crate::memory_model::{PathFinder, ProgramOrder};
 use std::collections::{HashMap, HashSet};
 use zpre_bv::{TermId, TermKind, TermStore};
 use zpre_prog::ssa::{EventKind, SsaProgram};
@@ -56,7 +56,8 @@ pub fn guard_implies(ts: &TermStore, a: TermId, b: TermId) -> bool {
 /// Machine-checkable evidence that an interference pair is redundant.
 ///
 /// Paths are sequences of event ids in which every consecutive pair is a
-/// *direct* fixed program-order edge (as emitted by [`po_pairs`]), so a
+/// *direct* fixed program-order edge (as emitted by
+/// [`po_pairs`](crate::po_pairs)), so a
 /// checker can verify them by edge-set membership without recomputing any
 /// closure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -138,6 +139,9 @@ pub struct PruneCounters {
 pub struct PruneReport {
     /// Memory model the analysis ran under (MHB depends on it).
     pub mm: MemoryModel,
+    /// The program order the analysis ran on; the encoder reuses it instead
+    /// of recomputing the edges and their closure.
+    pub order: ProgramOrder,
     /// Surviving rf candidate writes per read event id (empty vectors for
     /// non-read events).
     pub candidates: Vec<Vec<usize>>,
@@ -244,17 +248,22 @@ fn inside(ssa: &SsaProgram, s: &Section, e: usize) -> bool {
     ev.thread == s.thread && ssa.events[s.lock].pos < ev.pos && ev.pos < ssa.events[s.unlock].pos
 }
 
-/// Runs the pruning pass on `ssa` under `mm`.
+/// Runs the pruning pass on `ssa` under `mm`. Panics if the program order
+/// is cyclic (a malformed SSA event stream).
 pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
+    let order = ProgramOrder::new(ssa, mm).expect("program order must be acyclic");
+    analyze_order(ssa, order)
+}
+
+/// [`analyze`] over a program order the caller already computed for `ssa`;
+/// the report takes ownership of it.
+pub fn analyze_order(ssa: &SsaProgram, order: ProgramOrder) -> PruneReport {
     let n = ssa.events.len();
-    let pairs = po_pairs(ssa, mm);
-    let closure = PoClosure::new(n, &pairs);
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in &pairs {
-        adj[a].push(b);
-    }
-    let path = |from: usize, to: usize| -> Vec<usize> {
-        bfs_path(&adj, from, to).expect("closure-confirmed path must exist over fixed edges")
+    let mut finder = PathFinder::new(n, &order.pairs);
+    let mut path = |from: usize, to: usize| -> Vec<usize> {
+        finder
+            .path(from, to)
+            .expect("closure-confirmed path must exist over fixed edges")
     };
     let ts = &ssa.store;
     let always_true =
@@ -292,7 +301,8 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
     }
 
     let mut report = PruneReport {
-        mm,
+        mm: order.mm,
+        order,
         candidates: vec![Vec::new(); n],
         resolved: vec![None; n],
         ws_fixed: HashMap::new(),
@@ -306,6 +316,8 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
         },
         ws_unsettled: 0,
     };
+    // Disjoint from every field the pass writes below.
+    let closure = &report.order.closure;
 
     // --- rf pruning -------------------------------------------------------
     for (v, reads) in reads_of.iter().enumerate() {
@@ -464,32 +476,4 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
     }
 
     report
-}
-
-/// Shortest fixed-edge path `from →⁺ to` by BFS, inclusive of endpoints.
-fn bfs_path(adj: &[Vec<usize>], from: usize, to: usize) -> Option<Vec<usize>> {
-    let mut prev: Vec<Option<usize>> = vec![None; adj.len()];
-    let mut queue = std::collections::VecDeque::from([from]);
-    let mut seen = vec![false; adj.len()];
-    seen[from] = true;
-    while let Some(x) = queue.pop_front() {
-        if x == to {
-            let mut p = vec![to];
-            let mut cur = to;
-            while let Some(q) = prev[cur] {
-                p.push(q);
-                cur = q;
-            }
-            p.reverse();
-            return Some(p);
-        }
-        for &y in &adj[x] {
-            if !seen[y] {
-                seen[y] = true;
-                prev[y] = Some(x);
-                queue.push_back(y);
-            }
-        }
-    }
-    None
 }

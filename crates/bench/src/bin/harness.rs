@@ -93,6 +93,30 @@ impl RowSink {
     }
 }
 
+/// Every experiment name `main` dispatches on; `all` expands to all of
+/// them except the trailing `probe`.
+const EXPERIMENTS: [&str; 13] = [
+    "validate",
+    "table1",
+    "table2",
+    "table3",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "ablation",
+    "portfolio",
+    "probe",
+];
+
+fn usage() -> ! {
+    eprintln!("usage: harness [--scale quick|full] [--budget N] [--seed N] [--out DIR] [--telemetry] <experiment>...");
+    eprintln!("experiments: table1 table2 table3 fig6..fig11 ablation portfolio validate all");
+    std::process::exit(2);
+}
+
 fn parse_num(args: &[String], i: &mut usize, flag: &str) -> u64 {
     *i += 1;
     match args.get(*i).map(|raw| (raw, raw.parse())) {
@@ -143,33 +167,26 @@ fn main() {
                 }
             }
             "--telemetry" => telemetry = true,
+            "-h" | "--help" => usage(),
             exp => experiments.push(exp.to_string()),
         }
         i += 1;
     }
+    if let Some(bad) = experiments
+        .iter()
+        .find(|e| !EXPERIMENTS.contains(&e.as_str()) && *e != "all")
+    {
+        eprintln!("unknown experiment {bad:?}");
+        usage();
+    }
     if experiments.is_empty() {
-        eprintln!("usage: harness [--scale quick|full] [--budget N] [--seed N] [--out DIR] [--telemetry] <experiment>...");
-        eprintln!("experiments: table1 table2 table3 fig6..fig11 ablation portfolio validate all");
-        std::process::exit(2);
+        usage();
     }
     if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "validate",
-            "table1",
-            "table2",
-            "table3",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "ablation",
-            "portfolio",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        experiments = EXPERIMENTS[..EXPERIMENTS.len() - 1]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
     }
 
     let cfg = RunConfig {
@@ -277,7 +294,7 @@ fn main() {
             "ablation" => print_ablation(&results),
             "portfolio" => print_portfolio(&results),
             "probe" => print_probe(&results),
-            other => eprintln!("unknown experiment {other:?}"),
+            other => unreachable!("experiment {other:?} passed the argument check"),
         }
     }
 }

@@ -15,10 +15,10 @@
 use crate::decision_order::decision_order;
 use crate::errors::VerifyError;
 use crate::strategy::Strategy;
-use crate::verifier::{validate_model, Verdict, VerifyOptions};
+use crate::verifier::{prepare_encoding, validate_model, Verdict, VerifyOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zpre_encoder::{encode_sweep_opts, estimate_cnf, EncodeError};
+use zpre_encoder::encode_sweep_opts;
 use zpre_obs::{Phase, VarClass};
 use zpre_prog::{to_ssa_traced, unroll_program_sweep, Program};
 use zpre_sat::{Budget, ExhaustionReason, PriorityListGuide, SolveResult, Solver, Stats};
@@ -177,48 +177,14 @@ fn sweep_impl(
     }
     let guide = PriorityListGuide::new(Vec::new(), opts.seed);
     let mut solver: Solver<OrderTheory, PriorityListGuide> = Solver::with_parts(theory, guide);
-    // Pre-blast guard: refuse a horizon encoding whose estimated footprint
-    // already exceeds the memory budget, before allocating any of it.
-    if let Some(cap) = opts.max_memory {
-        let est = estimate_cnf(&ssa, opts.mm).map_err(VerifyError::Encode)?;
-        if est.bytes() > cap {
-            return Err(VerifyError::Encode(EncodeError::EncodingTooLarge {
-                estimated_bytes: est.bytes(),
-                cap_bytes: cap,
-            }));
-        }
-    }
-    // Static interference pruning on the horizon encoding: the report's
-    // justifications rest on fixed program-order edges and guard
-    // implications, which frames never weaken, so one analysis at the
-    // horizon serves every bound (see `encode_sweep_opts`).
-    let prune_on = opts.prune && opts.strategy != Strategy::ZpreNoPrune;
-    let report = if prune_on {
-        let rep = zpre_analysis::analyze(&ssa, opts.mm);
-        if let Some(r) = rec {
-            let c = &rep.counters;
-            r.record_prune(
-                c.rf_pruned,
-                c.rf_kept,
-                c.ws_pruned,
-                c.ws_serialized,
-                c.reads_resolved,
-                c.local_vars,
-            );
-        }
-        if opts.certify {
-            zpre_analysis::check_report(&ssa, &rep).map_err(|reason| {
-                VerifyError::Certification {
-                    stage: "prune",
-                    reason,
-                }
-            })?;
-        }
-        Some(rep)
-    } else {
-        None
+    // Pruning on the horizon encoding: the report's justifications rest on
+    // fixed program-order edges and guard implications, which frames never
+    // weaken, so one analysis at the horizon serves every bound (see
+    // `encode_sweep_opts`).
+    let mut enc = {
+        let report = prepare_encoding(&ssa, opts)?;
+        encode_sweep_opts(&ssa, opts.mm, max_bound, &mut solver, rec, report.as_ref())?
     };
-    let mut enc = encode_sweep_opts(&ssa, opts.mm, max_bound, &mut solver, rec, report.as_ref())?;
 
     if let Some(r) = rec {
         let mut classes = vec![VarClass::Other; solver.num_vars()];

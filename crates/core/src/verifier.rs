@@ -15,6 +15,7 @@ use crate::faults::Fault;
 use crate::strategy::Strategy;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use zpre_analysis::{ProgramOrder, PruneReport};
 use zpre_bv::{lits_to_u64, TermKind};
 use zpre_encoder::{estimate_cnf, po_pairs, try_encode_opts, EncodeError, Encoded};
 use zpre_obs::{Phase, Recorder, VarClass};
@@ -148,6 +149,12 @@ impl VerifyOptions {
             ..VerifyOptions::default()
         }
     }
+
+    /// Whether the static pruning pass runs: `prune` is set and the
+    /// strategy is not [`Strategy::ZpreNoPrune`].
+    pub(crate) fn prunes(&self) -> bool {
+        self.prune && self.strategy != Strategy::ZpreNoPrune
+    }
 }
 
 /// Result of a verification run, with the search statistics the paper's
@@ -228,6 +235,62 @@ pub fn try_verify_ssa(
     verify_ssa_inner(ssa, opts, Instant::now(), None)
 }
 
+/// The pre-encoding steps shared by one-shot and sweep verification. The
+/// program order is computed once; the pre-blast size estimate and the
+/// static pruning pass both use it, and the returned report hands it on to
+/// the encoder.
+///
+/// - Pre-blast guard: an encoding whose estimated footprint exceeds
+///   `opts.max_memory` is refused before any of it is allocated.
+/// - Static interference pruning (unless disabled) runs under a
+///   [`Phase::Prune`] span, its counters go to the recorder, and under
+///   `--certify` every justification is re-verified by the independent
+///   checker before the smaller encoding is trusted.
+pub(crate) fn prepare_encoding(
+    ssa: &SsaProgram,
+    opts: &VerifyOptions,
+) -> Result<Option<PruneReport>, VerifyError> {
+    if !opts.prunes() && opts.max_memory.is_none() {
+        return Ok(None);
+    }
+    let order = ProgramOrder::new(ssa, opts.mm).ok_or(EncodeError::CyclicProgramOrder)?;
+    if let Some(cap) = opts.max_memory {
+        let est = estimate_cnf(ssa, &order);
+        if est.bytes() > cap {
+            return Err(VerifyError::Encode(EncodeError::EncodingTooLarge {
+                estimated_bytes: est.bytes(),
+                cap_bytes: cap,
+            }));
+        }
+    }
+    if !opts.prunes() {
+        return Ok(None);
+    }
+    let rec = opts.recorder.as_ref();
+    let rep = {
+        let _span = rec.map(|r| r.span(Phase::Prune));
+        zpre_analysis::analyze_order(ssa, order)
+    };
+    if let Some(r) = rec {
+        let c = &rep.counters;
+        r.record_prune(
+            c.rf_pruned,
+            c.rf_kept,
+            c.ws_pruned,
+            c.ws_serialized,
+            c.reads_resolved,
+            c.local_vars,
+        );
+    }
+    if opts.certify {
+        zpre_analysis::check_report(ssa, &rep).map_err(|reason| VerifyError::Certification {
+            stage: "prune",
+            reason,
+        })?;
+    }
+    Ok(Some(rep))
+}
+
 pub(crate) fn verify_ssa_inner(
     ssa: &SsaProgram,
     opts: &VerifyOptions,
@@ -250,47 +313,10 @@ pub(crate) fn verify_ssa_inner(
         solver.enable_proof_logging();
     }
     let rec = opts.recorder.as_ref();
-    // Pre-blast guard: refuse an encoding whose estimated footprint already
-    // exceeds the memory budget, before allocating any of it.
-    if let Some(cap) = opts.max_memory {
-        let est = estimate_cnf(ssa, opts.mm)?;
-        if est.bytes() > cap {
-            return Err(VerifyError::Encode(EncodeError::EncodingTooLarge {
-                estimated_bytes: est.bytes(),
-                cap_bytes: cap,
-            }));
-        }
-    }
-    // Static interference pruning: run the analysis pass, surface its
-    // counters, and — under `--certify` — re-verify every justification
-    // with the independent checker before trusting the smaller encoding.
-    let prune_on = opts.prune && opts.strategy != Strategy::ZpreNoPrune;
-    let report = if prune_on {
-        let rep = zpre_analysis::analyze(ssa, opts.mm);
-        if let Some(r) = rec {
-            let c = &rep.counters;
-            r.record_prune(
-                c.rf_pruned,
-                c.rf_kept,
-                c.ws_pruned,
-                c.ws_serialized,
-                c.reads_resolved,
-                c.local_vars,
-            );
-        }
-        if opts.certify {
-            zpre_analysis::check_report(ssa, &rep).map_err(|reason| {
-                VerifyError::Certification {
-                    stage: "prune",
-                    reason,
-                }
-            })?;
-        }
-        Some(rep)
-    } else {
-        None
+    let enc = {
+        let report = prepare_encoding(ssa, opts)?;
+        try_encode_opts(ssa, opts.mm, &mut solver, rec, report.as_ref())?
     };
-    let enc = try_encode_opts(ssa, opts.mm, &mut solver, rec, report.as_ref())?;
 
     // With a recorder installed, resolve solver vars to interference classes
     // and stream solver/theory events into it.
@@ -409,7 +435,7 @@ pub(crate) fn verify_ssa_inner(
     // equivalence suite. Gated off for fault-injection, portfolio members
     // (share/cancel), and inconclusive verdicts.
     #[cfg(debug_assertions)]
-    if prune_on
+    if opts.prunes()
         && opts.fault.is_none()
         && opts.share.is_none()
         && opts.cancel.is_none()

@@ -25,11 +25,12 @@
 
 use std::collections::HashMap;
 use zpre_analysis::prune::PruneReport;
-use zpre_analysis::{po_pairs, PoClosure};
+use zpre_analysis::{PoClosure, ProgramOrder};
 use zpre_bv::{Blaster, ClauseSink, Sort, TermId, TermKind, TermStore};
 use zpre_obs::{Phase, Recorder};
 use zpre_prog::ssa::{EventKind, SsaProgram};
 use zpre_prog::MemoryModel;
+use zpre_sat::fxhash::FxHashMap;
 use zpre_sat::{DecisionGuide, Lit, Solver, Var};
 use zpre_smt::{rf_name, ws_name, NodeId, OrderTheory, VarKind, VarRegistry};
 
@@ -96,9 +97,15 @@ pub struct Encoded {
     /// Reads the pruning pass resolved directly in Φ_ssa (empty when
     /// encoding without a [`PruneReport`]).
     pub resolved_reads: Vec<ResolvedRead>,
-    /// Write pairs whose serialization polarity was fixed statically, in
-    /// both key orders: `(a, b) → true` means `a` definitely before `b`.
-    pub ws_fixed: HashMap<(usize, usize), bool>,
+}
+
+/// How Φ_fr learns whether one write of a variable precedes another.
+#[derive(Clone, Copy)]
+enum WsOrder {
+    /// A ws selector or ordering atom: true ⇔ the first write comes first.
+    Lit(Lit),
+    /// Statically fixed by program order.
+    Fixed(bool),
 }
 
 /// A structural problem with the encoding input, reported instead of a
@@ -229,7 +236,8 @@ pub fn try_encode_traced<G: DecisionGuide>(
 /// resolved reads become if-then-else chains in Φ_ssa, statically fixed ws
 /// pairs get no selector, and mutex-serialized ws pairs ride on plain
 /// ordering atoms (`V_ord`) instead of interference variables. The report
-/// must have been computed for the same `ssa` and `mm`.
+/// must have been computed for the same `ssa` and `mm`; its
+/// [`ProgramOrder`] is reused rather than recomputed.
 pub fn try_encode_opts<G: DecisionGuide>(
     ssa: &SsaProgram,
     mm: MemoryModel,
@@ -257,14 +265,21 @@ pub fn try_encode_opts<G: DecisionGuide>(
         .iter()
         .map(|_| solver.theory.add_node())
         .collect();
-    let pairs = po_pairs(ssa, mm);
-    for &(a, b) in &pairs {
+    let owned_order;
+    let order = match prune {
+        Some(rep) => &rep.order,
+        None => {
+            owned_order = ProgramOrder::new(ssa, mm).ok_or(EncodeError::CyclicProgramOrder)?;
+            &owned_order
+        }
+    };
+    for &(a, b) in &order.pairs {
         let ok = solver.theory.add_fixed_edge(event_nodes[a], event_nodes[b]);
         if !ok {
             return Err(EncodeError::CyclicProgramOrder);
         }
     }
-    let closure = PoClosure::new(ssa.events.len(), &pairs);
+    let closure = &order.closure;
 
     // --- Φ_ssa -------------------------------------------------------------
     let blast_span = rec.map(|r| r.span(Phase::Blast));
@@ -355,14 +370,16 @@ pub fn try_encode_opts<G: DecisionGuide>(
     }
 
     // --- Ordering-atom cache (V_ord) ----------------------------------------
-    // One two-sided atom per unordered node pair; `lit` means a→b.
-    let mut ord_cache: HashMap<(usize, usize), Lit> = HashMap::new();
+    // One two-sided atom per unordered node pair; `lit` means a→b. Keyed
+    // by both orientations of the pair, packed as `a << 32 | b`.
+    let mut ord_cache: FxHashMap<u64, Lit> = FxHashMap::default();
     let mut get_ord = |a: usize,
                        b: usize,
                        solver: &mut Solver<OrderTheory, G>,
                        registry: &mut VarRegistry|
      -> Lit {
-        if let Some(&l) = ord_cache.get(&(a, b)) {
+        let key = |x: usize, y: usize| (x as u64) << 32 | y as u64;
+        if let Some(&l) = ord_cache.get(&key(a, b)) {
             return l;
         }
         let v = solver.new_var();
@@ -371,13 +388,13 @@ pub fn try_encode_opts<G: DecisionGuide>(
             .theory
             .register_atom(v, NodeId(a as u32), NodeId(b as u32));
         solver.mark_theory_var(v);
-        ord_cache.insert((a, b), v.positive());
-        ord_cache.insert((b, a), v.negative());
+        ord_cache.insert(key(a, b), v.positive());
+        ord_cache.insert(key(b, a), v.negative());
         v.positive()
     };
 
     // --- Reads, writes per shared variable ----------------------------------
-    let analysis = access_analysis(ssa, &closure);
+    let analysis = access_analysis(ssa, closure);
     let num_vars = ssa.shared_names.len();
     let writes_of = &analysis.writes_of;
     let value_of = |eid: usize| -> TermId {
@@ -448,19 +465,28 @@ pub fn try_encode_opts<G: DecisionGuide>(
     }
 
     // --- Φ_ws ------------------------------------------------------------------
+    // `ws_order[v][i * n + j]` says whether the `i`-th write of `v` precedes
+    // its `j`-th (`n` writes, event-id order). The diagonal is never read.
     let mut ws_vars: Vec<WsVar> = Vec::new();
-    let mut ws_lit: HashMap<(usize, usize), Lit> = HashMap::new();
-    let mut ws_fixed: HashMap<(usize, usize), bool> = HashMap::new();
+    let mut ws_order: Vec<Vec<WsOrder>> = Vec::with_capacity(writes_of.len());
     for ws in writes_of.iter() {
-        for i in 0..ws.len() {
-            for j in i + 1..ws.len() {
+        let n = ws.len();
+        let mut order = vec![WsOrder::Fixed(false); n * n];
+        let mut set = |i: usize, j: usize, o: WsOrder| {
+            order[i * n + j] = o;
+            order[j * n + i] = match o {
+                WsOrder::Lit(l) => WsOrder::Lit(!l),
+                WsOrder::Fixed(b) => WsOrder::Fixed(!b),
+            };
+        };
+        for i in 0..n {
+            for j in i + 1..n {
                 let (w1, w2) = (ws[i], ws[j]);
                 if let Some(rep) = prune {
                     // Statically fixed pair: no selector at all; Φ_fr
                     // consults the fixed polarity instead.
                     if let Some(&first) = rep.ws_fixed.get(&(w1, w2)) {
-                        ws_fixed.insert((w1, w2), first);
-                        ws_fixed.insert((w2, w1), !first);
+                        set(i, j, WsOrder::Fixed(first));
                         continue;
                     }
                     // Mutex-serialized pair: same two-sided ordering-atom
@@ -469,8 +495,7 @@ pub fn try_encode_opts<G: DecisionGuide>(
                     // not an interference variable.
                     if rep.ws_serialized.contains(&(w1, w2)) {
                         let l = get_ord(w1, w2, solver, &mut registry);
-                        ws_lit.insert((w1, w2), l);
-                        ws_lit.insert((w2, w1), !l);
+                        set(i, j, WsOrder::Lit(l));
                         continue;
                     }
                 }
@@ -487,8 +512,7 @@ pub fn try_encode_opts<G: DecisionGuide>(
                     .theory
                     .register_atom(var, event_nodes[w1], event_nodes[w2]);
                 solver.mark_theory_var(var);
-                ws_lit.insert((w1, w2), var.positive());
-                ws_lit.insert((w2, w1), var.negative());
+                set(i, j, WsOrder::Lit(var.positive()));
                 ws_vars.push(WsVar {
                     var,
                     first: w1,
@@ -496,29 +520,35 @@ pub fn try_encode_opts<G: DecisionGuide>(
                 });
             }
         }
+        ws_order.push(order);
     }
 
     // --- Φ_fr -------------------------------------------------------------------
     // rf(w,r) ∧ (w before k) ∧ guard(k) → clk(r) < clk(k).
+    let mut write_index = vec![0usize; ssa.events.len()];
+    for ws in writes_of {
+        for (i, &w) in ws.iter().enumerate() {
+            write_index[w] = i;
+        }
+    }
     for &rf in &rf_vars {
         let v = ssa.events[rf.read].kind.var().expect("read event");
-        for &k in &writes_of[v] {
+        let n = writes_of[v].len();
+        let row = &ws_order[v][write_index[rf.write] * n..][..n];
+        for (&k, &rel) in writes_of[v].iter().zip(row) {
             if k == rf.write {
                 continue;
             }
             let f = rf.var.positive();
             // `w before k` is a selector literal, an ordering atom
             // (mutex-serialized pair), or a statically fixed polarity.
-            let before = match ws_lit.get(&(rf.write, k)) {
-                Some(&l) => Some(l),
-                None => match ws_fixed.get(&(rf.write, k)) {
-                    // Fixed true: the antecedent literal is settled, emit
-                    // the clause without it.
-                    Some(true) => None,
-                    // Fixed false (or an unreachable gap): the clause is
-                    // vacuously satisfied.
-                    Some(false) | None => continue,
-                },
+            let before = match rel {
+                WsOrder::Lit(l) => Some(l),
+                // Fixed true: the antecedent literal is settled, emit the
+                // clause without it.
+                WsOrder::Fixed(true) => None,
+                // Fixed false: the clause is vacuously satisfied.
+                WsOrder::Fixed(false) => continue,
             };
             if closure.reaches(rf.read, k) {
                 continue; // order already guaranteed by po
@@ -633,7 +663,6 @@ pub fn try_encode_opts<G: DecisionGuide>(
         err_lit,
         trivially_safe,
         resolved_reads,
-        ws_fixed,
     })
 }
 
@@ -721,10 +750,10 @@ impl CnfEstimate {
     }
 }
 
-/// Estimates the blasted size of `ssa`'s verification condition under `mm`
-/// without creating a solver or a blaster. Runs the same program-order
-/// closure and access analysis as [`try_encode`], then prices each
-/// constraint family:
+/// Estimates the blasted size of `ssa`'s verification condition under the
+/// program order `order` without creating a solver or a blaster. Runs the
+/// same access analysis as [`try_encode`], then prices each constraint
+/// family:
 ///
 /// - data path: one variable per bit-vector bit, ~8 clauses per bit for
 ///   linear circuits and ~4·w² for multipliers;
@@ -734,38 +763,11 @@ impl CnfEstimate {
 ///   write pair;
 /// - Φ_fr: one clause per (rf candidate, other write of the variable).
 ///
-/// Errors mirror [`try_encode`]'s structural checks where they can be
-/// detected this early (a cyclic program order).
-pub fn estimate_cnf(ssa: &SsaProgram, mm: MemoryModel) -> Result<CnfEstimate, EncodeError> {
+/// A cyclic program order, the one structural error detectable this early,
+/// already stops [`ProgramOrder::new`].
+pub fn estimate_cnf(ssa: &SsaProgram, order: &ProgramOrder) -> CnfEstimate {
     let ts = &ssa.store;
-    let pairs = po_pairs(ssa, mm);
-    // Kahn pre-check: `PoClosure::new` asserts acyclicity, so detect the
-    // malformed case here and report it as the typed error instead.
-    {
-        let n = ssa.events.len();
-        let mut indeg = vec![0usize; n];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b) in &pairs {
-            adj[a].push(b);
-            indeg[b] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(x) = queue.pop() {
-            seen += 1;
-            for &y in &adj[x] {
-                indeg[y] -= 1;
-                if indeg[y] == 0 {
-                    queue.push(y);
-                }
-            }
-        }
-        if seen != n {
-            return Err(EncodeError::CyclicProgramOrder);
-        }
-    }
-    let closure = PoClosure::new(ssa.events.len(), &pairs);
-    let analysis = access_analysis(ssa, &closure);
+    let analysis = access_analysis(ssa, &order.closure);
 
     // Data path: price every hash-consed term once (the blaster memoizes).
     let mut vars: u64 = 0;
@@ -824,12 +826,12 @@ pub fn estimate_cnf(ssa: &SsaProgram, mm: MemoryModel) -> Result<CnfEstimate, En
     // selectors, which are ordering atoms themselves.
     vars += rf_selectors;
 
-    Ok(CnfEstimate {
+    CnfEstimate {
         vars,
         clauses,
         rf_selectors,
         ws_selectors,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -1098,7 +1100,7 @@ mod tests {
         let u = unroll_program(&fig2(), 2);
         let ssa = to_ssa(&u);
         for mm in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
-            let est = estimate_cnf(&ssa, mm).unwrap();
+            let est = estimate_cnf(&ssa, &ProgramOrder::new(&ssa, mm).unwrap());
             let mut solver: Solver<OrderTheory, NoGuide> =
                 Solver::with_parts(OrderTheory::new(), NoGuide);
             let enc = encode(&ssa, mm, &mut solver);
@@ -1132,11 +1134,11 @@ mod tests {
     fn estimate_grows_with_unroll_bound() {
         let e1 = {
             let ssa = to_ssa(&unroll_program(&fig2(), 1));
-            estimate_cnf(&ssa, MemoryModel::Sc).unwrap()
+            estimate_cnf(&ssa, &ProgramOrder::new(&ssa, MemoryModel::Sc).unwrap())
         };
         let e4 = {
             let ssa = to_ssa(&unroll_program(&fig2(), 4));
-            estimate_cnf(&ssa, MemoryModel::Sc).unwrap()
+            estimate_cnf(&ssa, &ProgramOrder::new(&ssa, MemoryModel::Sc).unwrap())
         };
         assert!(e4.bytes() >= e1.bytes());
         assert!(e1.bytes() > 0);

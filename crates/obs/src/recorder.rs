@@ -17,6 +17,8 @@ pub enum Phase {
     Parse,
     Unroll,
     Ssa,
+    /// The static interference-pruning pass (`zpre_analysis::analyze`).
+    Prune,
     Encode,
     Blast,
     Solve,
@@ -34,6 +36,7 @@ impl Phase {
             Phase::Parse => "parse",
             Phase::Unroll => "unroll",
             Phase::Ssa => "ssa",
+            Phase::Prune => "prune",
             Phase::Encode => "encode",
             Phase::Blast => "blast",
             Phase::Solve => "solve",
@@ -49,6 +52,7 @@ impl Phase {
             "parse" => Some(Phase::Parse),
             "unroll" => Some(Phase::Unroll),
             "ssa" => Some(Phase::Ssa),
+            "prune" => Some(Phase::Prune),
             "encode" => Some(Phase::Encode),
             "blast" => Some(Phase::Blast),
             "solve" => Some(Phase::Solve),
@@ -60,11 +64,12 @@ impl Phase {
         }
     }
 
-    pub fn all() -> [Phase; 10] {
+    pub fn all() -> [Phase; 11] {
         [
             Phase::Parse,
             Phase::Unroll,
             Phase::Ssa,
+            Phase::Prune,
             Phase::Encode,
             Phase::Blast,
             Phase::Solve,

@@ -36,6 +36,7 @@
 
 pub mod clause;
 pub mod dimacs;
+pub mod fxhash;
 pub mod guide;
 pub mod heap;
 pub mod lit;

@@ -145,6 +145,9 @@ pub struct Solver<T: Theory = NoTheory, G: DecisionGuide = NoGuide> {
     seen: Vec<u8>,
     analyze_toclear: Vec<Lit>,
     analyze_stack: Vec<Lit>,
+    /// Reason-literal scratch shared by `analyze`, `lit_redundant` and
+    /// `analyze_final`; taken out of the solver while in use.
+    reason_buf: Vec<Lit>,
     lbd_stamp: Vec<u32>,
     lbd_counter: u32,
 
@@ -220,6 +223,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             analyze_stack: Vec::new(),
+            reason_buf: Vec::new(),
             lbd_stamp: Vec::new(),
             lbd_counter: 0,
             max_learnts: 0.0,
@@ -1024,7 +1028,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         let mut counter = 0u32;
         let mut index = self.trail.len();
         let mut clause: Vec<Lit> = conflict.lits;
-        let mut reason_buf: Vec<Lit> = Vec::new();
+        let mut reason_buf = std::mem::take(&mut self.reason_buf);
         let uip;
 
         loop {
@@ -1064,6 +1068,12 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             self.reason_lits(pl, &mut reason_buf);
             std::mem::swap(&mut clause, &mut reason_buf);
         }
+        // Keep the larger of the two buffers for the next conflict.
+        self.reason_buf = if clause.capacity() > reason_buf.capacity() {
+            clause
+        } else {
+            reason_buf
+        };
         learnt[0] = !uip;
 
         // Recursive minimization of the non-asserting literals.
@@ -1134,15 +1144,15 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         self.analyze_stack.clear();
         self.analyze_stack.push(l);
         let top = self.analyze_toclear.len();
-        let mut reason_buf: Vec<Lit> = Vec::new();
-        while let Some(q) = self.analyze_stack.pop() {
+        let mut reason_buf = std::mem::take(&mut self.reason_buf);
+        let mut redundant = true;
+        'stack: while let Some(q) = self.analyze_stack.pop() {
             // Stack literals come from clause bodies, so they are false; the
             // reason of the variable implies the *true* literal ¬q.
             debug_assert!(self.value(q).is_false());
             debug_assert!(!matches!(self.reason[q.var().index()], Reason::None));
             self.reason_lits(!q, &mut reason_buf);
-            let antecedents = reason_buf.clone();
-            for a in antecedents {
+            for &a in &reason_buf {
                 let v = a.var();
                 if self.seen[v.index()] == 0 && self.level[v.index()] > 0 {
                     let has_reason = !matches!(self.reason[v.index()], Reason::None);
@@ -1157,12 +1167,14 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                             self.seen[x.var().index()] = 0;
                         }
                         self.analyze_toclear.truncate(top);
-                        return false;
+                        redundant = false;
+                        break 'stack;
                     }
                 }
             }
         }
-        true
+        self.reason_buf = reason_buf;
+        redundant
     }
 
     /// Installs a learnt clause and asserts its UIP literal.
@@ -1343,7 +1355,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             return;
         }
         self.seen[p.var().index()] = 1;
-        let mut reason_buf = Vec::new();
+        let mut reason_buf = std::mem::take(&mut self.reason_buf);
         let start = self.trail_lim[0] as usize;
         for i in (start..self.trail.len()).rev() {
             let q = self.trail[i];
@@ -1358,7 +1370,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 self.assumption_core.push(q);
             } else {
                 self.reason_lits(q, &mut reason_buf);
-                for l in reason_buf.clone() {
+                for &l in &reason_buf {
                     if self.level[l.var().index()] > 0 {
                         self.seen[l.var().index()] = 1;
                     }
@@ -1367,6 +1379,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             self.seen[x.index()] = 0;
         }
         self.seen[p.var().index()] = 0;
+        self.reason_buf = reason_buf;
     }
 
     fn luby(mut x: u64) -> u64 {
@@ -2026,9 +2039,9 @@ mod share_tests {
                 assert!(s.add_clause(&c));
             }
             for h in 0..n_h {
-                for p1 in 0..n_p {
-                    for p2 in p1 + 1..n_p {
-                        assert!(s.add_clause(&[x[p1][h].negative(), x[p2][h].negative()]));
+                for (p1, row1) in x.iter().enumerate() {
+                    for row2 in &x[p1 + 1..] {
+                        assert!(s.add_clause(&[row1[h].negative(), row2[h].negative()]));
                     }
                 }
             }

@@ -58,8 +58,9 @@ pub trait Theory {
 
     /// Explains a literal previously pushed into [`TheoryOut::propagations`]:
     /// returns the antecedent literals (all true, asserted strictly before
-    /// `lit`) whose conjunction implies `lit`.
-    fn explain(&mut self, lit: Lit) -> Vec<Lit>;
+    /// `lit`) whose conjunction implies `lit`. The slice is borrowed from
+    /// the theory's own explanation store; nothing is copied.
+    fn explain(&mut self, lit: Lit) -> &[Lit];
 
     /// Called when the Boolean assignment is complete and no conflict was
     /// found; the theory gets a last chance to object. Eager theories that
@@ -98,7 +99,7 @@ impl Theory for NoTheory {
     }
     fn new_level(&mut self) {}
     fn backtrack_to(&mut self, _level: u32) {}
-    fn explain(&mut self, _lit: Lit) -> Vec<Lit> {
+    fn explain(&mut self, _lit: Lit) -> &[Lit] {
         unreachable!("NoTheory never propagates, so it is never asked to explain")
     }
 }

@@ -37,8 +37,8 @@
 //! (`force_full_dfs`) measure against.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
+use zpre_sat::fxhash::FxHashMap;
 use zpre_sat::Lit;
 
 use super::{CycleEdge, NodeId};
@@ -129,10 +129,17 @@ pub struct OrderGraph {
     fparent: Vec<(NodeId, Option<Lit>)>,
     /// Shared explicit stack for both passes.
     stack: Vec<NodeId>,
-    /// Multiplicity of each directed edge currently present; parallel
-    /// duplicates are accepted in O(1) since they cannot change
-    /// reachability.
-    edge_count: HashMap<(u32, u32), u32>,
+    /// Targets of each node's fixed (untagged) out-edges, sorted. Fixed
+    /// edges are the bulk of the graph under TSO/PSO and arrive mostly in
+    /// ascending target order, so keeping them sorted is an append, and
+    /// a membership test is a binary search over a short contiguous run
+    /// instead of a probe into a table with one entry per edge.
+    fixed_out: Vec<Vec<NodeId>>,
+    /// Multiplicity of each asserted (tagged) edge currently present,
+    /// keyed by [`pair_key`]. With `fixed_out` it answers
+    /// [`OrderGraph::has_edge`]: parallel duplicates are accepted in O(1)
+    /// since they cannot change reachability.
+    asserted_count: FxHashMap<u64, u32>,
     /// Backward-visited set of the last searched insertion (tail included).
     /// Every member reaches the tail within its level; the theory uses this
     /// to drive implied-atom propagation without extra traversals.
@@ -166,7 +173,8 @@ impl OrderGraph {
             bparent: Vec::new(),
             fparent: Vec::new(),
             stack: Vec::new(),
-            edge_count: HashMap::new(),
+            fixed_out: Vec::new(),
+            asserted_count: FxHashMap::default(),
             frontier: Vec::new(),
             query: RefCell::new(QueryScratch::default()),
             force_full_dfs: false,
@@ -178,6 +186,7 @@ impl OrderGraph {
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.out.len() as u32);
         self.out.push(Vec::new());
+        self.fixed_out.push(Vec::new());
         self.inn.push(Vec::new());
         self.level.push(0);
         self.bstamp.push(0);
@@ -204,6 +213,18 @@ impl OrderGraph {
     /// Out-edges of a node.
     pub fn out_edges(&self, n: NodeId) -> &[OutEdge] {
         &self.out[n.index()]
+    }
+
+    /// `true` if at least one edge `from→to` (fixed or asserted) is
+    /// present: a binary search over `from`'s fixed targets, then one hash
+    /// probe for asserted edges.
+    pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
+        self.has_fixed_edge(from, to) || self.asserted_count.contains_key(&pair_key(from, to))
+    }
+
+    /// `true` if a fixed (untagged) edge `from→to` is present.
+    pub fn has_fixed_edge(&self, from: NodeId, to: NodeId) -> bool {
+        self.fixed_out[from.index()].binary_search(&to).is_ok()
     }
 
     /// Forces every insertion through the retained full-DFS check instead of
@@ -284,12 +305,15 @@ impl OrderGraph {
             return Ok(Inserted::Searched);
         }
 
-        if self.level[from.index()] < self.level[to.index()]
+        let (lf, lt) = (self.level[from.index()], self.level[to.index()]);
+        if lf < lt
             // A parallel duplicate (distinct atoms over the same event
             // pair, or an atom duplicating a fixed program-order edge)
             // cannot change reachability: the graph was acyclic with the
-            // first copy, so it stays acyclic with this one.
-            || self.edge_count.contains_key(&(from.0, to.0))
+            // first copy, so it stays acyclic with this one. An existing
+            // edge has k(from) ≤ k(to), so only equal levels need the
+            // lookup.
+            || (lf == lt && self.has_edge(from, to))
         {
             self.stats.accepted_o1 += 1;
             self.push_edge(from, to, tag);
@@ -427,7 +451,17 @@ impl OrderGraph {
         self.out[from.index()].push(OutEdge { to, tag });
         self.inn[to.index()].push(InEdge { from, tag });
         self.num_edges += 1;
-        *self.edge_count.entry((from.0, to.0)).or_insert(0) += 1;
+        if tag.is_some() {
+            *self.asserted_count.entry(pair_key(from, to)).or_insert(0) += 1;
+        } else {
+            let targets = &mut self.fixed_out[from.index()];
+            if targets.last().is_some_and(|&t| t > to) {
+                let at = targets.partition_point(|&t| t < to);
+                targets.insert(at, to);
+            } else {
+                targets.push(to);
+            }
+        }
         self.trail.push(GraphOp::Edge { from, to });
     }
 
@@ -452,16 +486,25 @@ impl OrderGraph {
         while self.trail.len() > mark {
             match self.trail.pop().expect("trail length checked") {
                 GraphOp::Edge { from, to } => {
-                    self.out[from.index()].pop();
+                    let edge = self.out[from.index()].pop().expect("undone edge exists");
                     self.inn[to.index()].pop();
                     self.num_edges -= 1;
-                    let count = self
-                        .edge_count
-                        .get_mut(&(from.0, to.0))
-                        .expect("undone edge was counted");
-                    *count -= 1;
-                    if *count == 0 {
-                        self.edge_count.remove(&(from.0, to.0));
+                    if edge.tag.is_some() {
+                        let key = pair_key(from, to);
+                        let count = self
+                            .asserted_count
+                            .get_mut(&key)
+                            .expect("undone edge was counted");
+                        *count -= 1;
+                        if *count == 0 {
+                            self.asserted_count.remove(&key);
+                        }
+                    } else {
+                        let targets = &mut self.fixed_out[from.index()];
+                        let at = targets
+                            .binary_search(&to)
+                            .expect("undone edge was recorded");
+                        targets.remove(at);
                     }
                 }
                 GraphOp::Level { node, old } => {
@@ -561,6 +604,12 @@ impl OrderGraph {
     }
 }
 
+/// Packs a directed node pair into one hash key.
+#[inline]
+pub(crate) fn pair_key(from: NodeId, to: NodeId) -> u64 {
+    (from.0 as u64) << 32 | to.0 as u64
+}
+
 /// Integer square root (newton), used for the backward-search arc bound
 /// Δ ≈ √m.
 fn isqrt(n: usize) -> usize {
@@ -655,8 +704,8 @@ mod tests {
         assert!(g.reaches(n[0], n[7]));
         g.backtrack_to(0);
         assert_eq!(g.num_edges(), 0);
-        for i in 0..8 {
-            assert_eq!(g.level_of(n[i]), 0, "level of node {i} restored");
+        for (i, &node) in n.iter().enumerate() {
+            assert_eq!(g.level_of(node), 0, "level of node {i} restored");
         }
         assert!(!g.reaches(n[0], n[7]));
         // The reverse orientation is now acceptable.

@@ -29,14 +29,14 @@
 
 pub mod graph;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use zpre_obs::{Event, EventSink};
+use zpre_sat::fxhash::FxHashMap;
 use zpre_sat::share::NO_TAG;
 use zpre_sat::{CycleEdgeRaw, Lit, Theory, TheoryConflict, TheoryOut, Var};
 
-use graph::{CycleStats, Inserted, OrderGraph};
+use graph::{pair_key, CycleStats, Inserted, OrderGraph};
 
 /// Cap on lemmas buffered for sharing between solver drains. Conflicts can
 /// outpace the drain cadence (the solver drains on learn, not per-assert),
@@ -90,6 +90,39 @@ fn cooked_edge(e: &CycleEdgeRaw) -> CycleEdge {
     }
 }
 
+/// A registered ordering atom: true ⇒ `a→b`, false ⇒ `b→a`.
+#[derive(Copy, Clone, Debug)]
+struct Atom {
+    a: NodeId,
+    b: NodeId,
+    /// Index into [`OrderTheory::groups`].
+    group: u32,
+}
+
+/// Every atom over one unordered node pair, in registration order. Each
+/// literal means the edge `from→other`; distinct atoms over the same pair
+/// stay linked so asserting one implies the others.
+struct AtomGroup {
+    from: NodeId,
+    lits: Vec<Lit>,
+}
+
+impl AtomGroup {
+    /// The `i`-th literal of the group as "edge `x→y`", where `{x, y}` is
+    /// the group's pair.
+    fn edge_lit(&self, i: usize, x: NodeId) -> Lit {
+        let l = self.lits[i];
+        if x == self.from {
+            l
+        } else {
+            !l
+        }
+    }
+}
+
+/// Marks an explanation-table slot with no explanation.
+const NO_EXPL: u32 = u32::MAX;
+
 /// A theory lemma together with its justification: the clause is valid in
 /// the order theory because the edges of `cycle` form a directed cycle in
 /// the EOG whenever the clause's negation holds.
@@ -107,13 +140,19 @@ pub struct TheoryLemma {
 pub struct OrderTheory {
     /// The incremental cycle-detection engine (adjacency + levels + trail).
     graph: OrderGraph,
-    /// Atom registry: solver var → (a, b), true ⇒ a→b, false ⇒ b→a.
-    atoms: HashMap<u32, (NodeId, NodeId)>,
-    /// For an ordered pair (a, b), every literal that means "edge a→b".
-    /// (Usually one, but duplicate atoms over the same pair stay linked.)
-    edge_atoms: HashMap<(NodeId, NodeId), Vec<Lit>>,
-    /// Eager explanations for literals we propagated.
-    expl: HashMap<u32, Vec<Lit>>,
+    /// Atom registry indexed by solver var (`None` for non-atoms).
+    atoms: Vec<Option<Atom>>,
+    /// Duplicate-atom groups, one per unordered node pair with an atom.
+    groups: Vec<AtomGroup>,
+    /// Group of each node pair with an atom, under both orientations'
+    /// [`pair_key`]s.
+    pair_group: FxHashMap<u64, u32>,
+    /// Eager explanations for propagated literals, indexed by literal code:
+    /// `(start, len)` into `expl_lits`, `start == NO_EXPL` when absent.
+    expl_at: Vec<(u32, u32)>,
+    /// Explanation arena. Explanations are recorded in `prop_trail` order
+    /// and dropped in reverse, so backtracking truncates it.
+    expl_lits: Vec<Lit>,
     /// Undo trail of propagated literals (edge undo lives in the engine).
     prop_trail: Vec<Lit>,
     /// `prop_trail` length at each open decision level.
@@ -154,9 +193,11 @@ impl OrderTheory {
     pub fn new() -> OrderTheory {
         OrderTheory {
             graph: OrderGraph::new(),
-            atoms: HashMap::new(),
-            edge_atoms: HashMap::new(),
-            expl: HashMap::new(),
+            atoms: Vec::new(),
+            groups: Vec::new(),
+            pair_group: FxHashMap::default(),
+            expl_at: Vec::new(),
+            expl_lits: Vec::new(),
             prop_trail: Vec::new(),
             levels: Vec::new(),
             fixed_cycle: false,
@@ -259,20 +300,41 @@ impl OrderTheory {
     /// [`zpre_sat::Solver::mark_theory_var`].
     pub fn register_atom(&mut self, var: Var, a: NodeId, b: NodeId) {
         debug_assert_ne!(a, b, "ordering atom over a single event");
-        self.atoms.insert(var.index() as u32, (a, b));
-        self.edge_atoms
-            .entry((a, b))
-            .or_default()
-            .push(var.positive());
-        self.edge_atoms
-            .entry((b, a))
-            .or_default()
-            .push(var.negative());
+        let vi = var.index();
+        if self.atoms.len() <= vi {
+            self.atoms.resize(vi + 1, None);
+            self.expl_at.resize(2 * (vi + 1), (NO_EXPL, 0));
+        }
+        debug_assert!(self.atoms[vi].is_none(), "atom {vi} registered twice");
+        let group = match self.pair_group.get(&pair_key(a, b)) {
+            Some(&g) => g,
+            None => {
+                let g = self.groups.len() as u32;
+                self.groups.push(AtomGroup {
+                    from: a,
+                    lits: Vec::new(),
+                });
+                self.pair_group.insert(pair_key(a, b), g);
+                self.pair_group.insert(pair_key(b, a), g);
+                g
+            }
+        };
+        let grp = &mut self.groups[group as usize];
+        grp.lits.push(if grp.from == a {
+            var.positive()
+        } else {
+            var.negative()
+        });
+        self.atoms[vi] = Some(Atom { a, b, group });
     }
 
     /// The pair registered for `var`, if any.
     pub fn atom_nodes(&self, var: Var) -> Option<(NodeId, NodeId)> {
-        self.atoms.get(&(var.index() as u32)).copied()
+        self.atoms
+            .get(var.index())
+            .copied()
+            .flatten()
+            .map(|at| (at.a, at.b))
     }
 
     /// `true` if the fixed edges alone are cyclic.
@@ -291,12 +353,7 @@ impl OrderTheory {
     /// the solver has backtracked to the root, so only fixed and root-level
     /// edges remain — this is the predicate certification re-checks.
     pub fn is_fixed_edge(&self, a: NodeId, b: NodeId) -> bool {
-        a.index() < self.graph.num_nodes()
-            && self
-                .graph
-                .out_edges(a)
-                .iter()
-                .any(|e| e.to == b && e.tag.is_none())
+        a.index() < self.graph.num_nodes() && self.graph.has_fixed_edge(a, b)
     }
 
     /// Current topological order of all nodes, if the graph is acyclic.
@@ -348,8 +405,10 @@ impl OrderTheory {
         cycle_len: u32,
         out: &mut TheoryOut,
     ) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.expl.entry(q.code() as u32) {
-            e.insert(expl.to_vec());
+        let slot = &mut self.expl_at[q.code()];
+        if slot.0 == NO_EXPL {
+            *slot = (self.expl_lits.len() as u32, expl.len() as u32);
+            self.expl_lits.extend_from_slice(expl);
             self.prop_trail.push(q);
             self.emit_lemma(cycle_len);
             if self.journal_on {
@@ -367,7 +426,7 @@ impl OrderTheory {
 
 impl Theory for OrderTheory {
     fn assert_lit(&mut self, lit: Lit, out: &mut TheoryOut) -> Result<(), TheoryConflict> {
-        let Some(&(a, b)) = self.atoms.get(&(lit.var().index() as u32)) else {
+        let Some(Some(Atom { a, b, group })) = self.atoms.get(lit.var().index()).copied() else {
             return Ok(()); // not an ordering atom
         };
         let (from, to) = if lit.sign() { (a, b) } else { (b, a) };
@@ -418,17 +477,16 @@ impl Theory for OrderTheory {
         };
 
         if self.propagate_reverse {
-            // One-step: other atoms over the same pair are implied true...
-            let mut implied: Vec<Lit> = Vec::new();
-            if let Some(same) = self.edge_atoms.get(&(from, to)) {
-                implied.extend(same.iter().copied().filter(|&l| l != lit));
-            }
-            // ...and the reverse edge is now impossible (one-step
-            // transitivity; longer cycles are left to the cycle check).
-            if let Some(rev) = self.edge_atoms.get(&(to, from)) {
-                implied.extend(rev.iter().map(|&l| !l).filter(|&l| l != lit));
-            }
-            for q in implied {
+            // One-step: every other atom over the same pair is implied in
+            // the orientation from→to — duplicates of this edge become
+            // true, and reverse atoms false (one-step transitivity; longer
+            // cycles are left to the cycle check).
+            let group = group as usize;
+            for i in 0..self.groups[group].lits.len() {
+                let q = self.groups[group].edge_lit(i, from);
+                if q == lit {
+                    continue;
+                }
                 // The explanation clause q ∨ ¬lit is justified by the
                 // 2-cycle its negation (¬q ∧ lit) would create.
                 self.push_propagation(
@@ -457,17 +515,17 @@ impl Theory for OrderTheory {
             // every frontier node u, so an edge to→u would close the cycle
             // to→u ⇝ from→to. Negate any atom that would assert one.
             if ins == Inserted::Searched {
-                let frontier: Vec<NodeId> = self.graph.frontier().to_vec();
-                for u in frontier {
+                for fi in 0..self.graph.frontier().len() {
+                    let u = self.graph.frontier()[fi];
                     if u == from {
                         continue; // handled by the one-step case above
                     }
-                    let Some(list) = self.edge_atoms.get(&(to, u)) else {
+                    let Some(&g) = self.pair_group.get(&pair_key(to, u)) else {
                         continue;
                     };
-                    let implied: Vec<Lit> = list
-                        .iter()
-                        .map(|&l| !l)
+                    let grp = &self.groups[g as usize];
+                    let implied: Vec<Lit> = (0..grp.lits.len())
+                        .map(|i| !grp.edge_lit(i, to))
                         .filter(|&q| q != lit && q != !lit)
                         .collect();
                     if implied.is_empty() {
@@ -522,15 +580,23 @@ impl Theory for OrderTheory {
         self.levels.truncate(target);
         while self.prop_trail.len() > keep {
             let lit = self.prop_trail.pop().expect("trail length checked");
-            self.expl.remove(&(lit.code() as u32));
+            let slot = &mut self.expl_at[lit.code()];
+            self.expl_lits.truncate(slot.0 as usize);
+            slot.0 = NO_EXPL;
         }
     }
 
-    fn explain(&mut self, lit: Lit) -> Vec<Lit> {
-        self.expl
-            .get(&(lit.code() as u32))
-            .cloned()
-            .expect("explanation requested for a literal the theory did not propagate")
+    fn explain(&mut self, lit: Lit) -> &[Lit] {
+        let (start, len) = self
+            .expl_at
+            .get(lit.code())
+            .copied()
+            .unwrap_or((NO_EXPL, 0));
+        assert_ne!(
+            start, NO_EXPL,
+            "explanation requested for a literal the theory did not propagate"
+        );
+        &self.expl_lits[start as usize..(start + len) as usize]
     }
 
     fn enable_share_capture(&mut self) {

@@ -1,12 +1,17 @@
 //! Property-based end-to-end validation: random small concurrent programs
 //! are verified by the SMT pipeline and cross-checked against exhaustive
-//! interleaving enumeration (SC) and across strategies.
+//! interleaving enumeration (SC) and across strategies. The program-order
+//! layer is checked for exactness on the same programs and on random DAGs:
+//! the closure against a naive one, and the shortest-path search against a
+//! plain reference BFS.
 
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use zpre::{verify, Strategy as SolveStrategy, Verdict, VerifyOptions};
+use zpre_analysis::{po_pairs, PathFinder, PoClosure};
 use zpre_prog::build::*;
 use zpre_prog::interp::{check_sc, Limits, Outcome};
-use zpre_prog::{flatten, unroll_program, MemoryModel, Program, Stmt};
+use zpre_prog::{flatten, to_ssa, unroll_program, MemoryModel, Program, Stmt};
 
 /// A tiny statement language over two shared variables and per-thread
 /// locals, rich enough to exercise rf/ws/fr, guards and the data path.
@@ -139,6 +144,133 @@ proptest! {
         }
         if per_mm[1] == Verdict::Unsafe {
             prop_assert_eq!(per_mm[2], Verdict::Unsafe);
+        }
+    }
+}
+
+/// Reachability by one DFS per source node.
+fn naive_closure(n: usize, pairs: &[(usize, usize)]) -> Vec<Vec<bool>> {
+    let mut adj = vec![Vec::new(); n];
+    for &(a, b) in pairs {
+        adj[a].push(b);
+    }
+    (0..n)
+        .map(|s| {
+            let mut seen = vec![false; n];
+            let mut stack: Vec<usize> = adj[s].clone();
+            while let Some(x) = stack.pop() {
+                if !seen[x] {
+                    seen[x] = true;
+                    stack.extend(&adj[x]);
+                }
+            }
+            seen
+        })
+        .collect()
+}
+
+/// Shortest path by a BFS that tests for the target when it is dequeued
+/// and allocates afresh per query.
+fn reference_path(
+    n: usize,
+    pairs: &[(usize, usize)],
+    from: usize,
+    to: usize,
+) -> Option<Vec<usize>> {
+    let mut adj = vec![Vec::new(); n];
+    for &(a, b) in pairs {
+        adj[a].push(b);
+    }
+    let mut prev: Vec<Option<usize>> = vec![None; n];
+    let mut seen = vec![false; n];
+    let mut queue = VecDeque::from([from]);
+    seen[from] = true;
+    while let Some(x) = queue.pop_front() {
+        if x == to {
+            let mut p = vec![to];
+            let mut cur = to;
+            while let Some(q) = prev[cur] {
+                p.push(q);
+                cur = q;
+            }
+            p.reverse();
+            return Some(p);
+        }
+        for &y in &adj[x] {
+            if !seen[y] {
+                seen[y] = true;
+                prev[y] = Some(x);
+                queue.push_back(y);
+            }
+        }
+    }
+    None
+}
+
+/// Compares the closure and every pairwise path with the references.
+fn check_program_order(n: usize, pairs: &[(usize, usize)]) -> Result<(), TestCaseError> {
+    let closure = PoClosure::new(n, pairs);
+    let naive = naive_closure(n, pairs);
+    let mut finder = PathFinder::new(n, pairs);
+    for (a, reach) in naive.iter().enumerate() {
+        for (b, &want) in reach.iter().enumerate() {
+            prop_assert_eq!(closure.reaches(a, b), want, "reach {} -> {}", a, b);
+            prop_assert_eq!(
+                finder.path(a, b),
+                reference_path(n, pairs, a, b),
+                "path {} -> {}",
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A random DAG: `n` nodes under a random topological order, and edges
+/// between random node pairs oriented along it, in random order.
+fn arb_dag() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (
+        2..24usize,
+        prop::collection::vec((0..24usize, 0..24usize), 0..80),
+        any::<u64>(),
+    )
+        .prop_map(|(n, raw, seed)| {
+            // Rank of each node in the topological order: a seeded shuffle.
+            let mut rank: Vec<usize> = (0..n).collect();
+            let mut s = seed | 1;
+            for i in (1..n).rev() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                rank.swap(i, (s % (i as u64 + 1)) as usize);
+            }
+            let pairs = raw
+                .into_iter()
+                .map(|(a, b)| (a % n, b % n))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| if rank[a] < rank[b] { (a, b) } else { (b, a) })
+                .collect();
+            (n, pairs)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On random DAGs the skipping closure equals a naive closure, and the
+    /// early-exit path search returns the reference BFS's path.
+    #[test]
+    fn program_order_is_exact_on_random_dags((n, pairs) in arb_dag()) {
+        check_program_order(n, &pairs)?;
+    }
+
+    /// The same on the program order of random programs under every model.
+    #[test]
+    fn program_order_is_exact_on_random_programs(program in arb_program()) {
+        let ssa = to_ssa(&unroll_program(&program, 1));
+        for mm in MemoryModel::ALL {
+            check_program_order(ssa.events.len(), &po_pairs(&ssa, mm))?;
         }
     }
 }
