@@ -40,7 +40,7 @@
 //! |------|-------------------------------------------------|
 //! | 0    | every verdict Safe                              |
 //! | 1    | some verdict Unsafe                             |
-//! | 2    | usage error                                     |
+//! | 2    | usage error, or an option the driver rejects    |
 //! | 3    | some verdict Unknown (budgets/ladder exhausted) |
 //! | 4    | invalid program or I/O failure                  |
 //! | 5    | encoding refused                                |
@@ -142,6 +142,7 @@ corrupt-journal] [--kill-after N] [--heartbeat SECS] [--metrics-out FILE] [--no-
 /// the table in the crate docs).
 fn exit_for_error(e: &VerifyError) -> ExitCode {
     ExitCode::from(match e {
+        VerifyError::Unsupported { .. } => 2,
         VerifyError::Exhausted(_) => 3,
         VerifyError::InvalidProgram(_) => 4,
         VerifyError::Encode(_) => 5,
@@ -1044,6 +1045,10 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             recorder: recorder.clone(),
             share: None,
         };
+        let reject = |e: VerifyError| {
+            eprintln!("{}: verdict rejected under {}: {e}", program.name, mm);
+            exit_for_error(&e)
+        };
         if portfolio {
             let mut folio_opts = PortfolioOptions::new(opts);
             if share || share_lbd_max.is_some() {
@@ -1127,10 +1132,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         if incremental {
             let sweep = match try_verify_sweep(&program, &opts) {
                 Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{}: verdict rejected under {}: {e}", program.name, mm);
-                    return exit_for_error(&e);
-                }
+                Err(e) => return reject(e),
             };
             if json {
                 let frames: Vec<String> = sweep
@@ -1205,23 +1207,20 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             any_unknown |= sweep.verdict == Verdict::Unknown;
             continue;
         }
-        let (verdict, outcome, bound) = if let Some(max_bound) = bmc {
-            let sweep = verify_bmc(&program, max_bound, &opts);
-            let bound = sweep.bound;
-            let (_, last) = sweep
-                .per_bound
-                .into_iter()
-                .last()
-                .expect("at least one bound");
-            (sweep.verdict, last, Some(bound))
-        } else {
-            match try_verify(&program, &opts) {
-                Ok(out) => (out.verdict, out, None),
-                Err(e) => {
-                    eprintln!("{}: verdict rejected under {}: {e}", program.name, mm);
-                    return exit_for_error(&e);
-                }
-            }
+        let run = match bmc {
+            Some(max_bound) => verify_bmc(&program, max_bound, &opts).map(|sweep| {
+                let (_, last) = sweep
+                    .per_bound
+                    .into_iter()
+                    .last()
+                    .expect("at least one bound");
+                (sweep.verdict, last, Some(sweep.bound))
+            }),
+            None => try_verify(&program, &opts).map(|out| (out.verdict, out, None)),
+        };
+        let (verdict, outcome, bound) = match run {
+            Ok(run) => run,
+            Err(e) => return reject(e),
         };
         if json {
             println!(

@@ -7,7 +7,8 @@
 //! bounds upward until a violation is found or the bound budget is
 //! exhausted.
 
-use crate::verifier::{verify, Verdict, VerifyOptions, VerifyOutcome};
+use crate::errors::VerifyError;
+use crate::verifier::{try_verify, Verdict, VerifyOptions, VerifyOutcome};
 use zpre_prog::Program;
 
 /// Result of a BMC sweep.
@@ -26,8 +27,13 @@ pub struct BmcOutcome {
 
 /// Runs BMC with bounds `1..=max_bound` (skipping redundant re-encodings
 /// for loop-free programs, where every bound yields the same instance —
-/// the deduplication the paper applies to its SMT files).
-pub fn verify_bmc(prog: &Program, max_bound: u32, opts: &VerifyOptions) -> BmcOutcome {
+/// the deduplication the paper applies to its SMT files). The first bound
+/// that fails with a [`VerifyError`] ends the loop with that error.
+pub fn verify_bmc(
+    prog: &Program,
+    max_bound: u32,
+    opts: &VerifyOptions,
+) -> Result<BmcOutcome, VerifyError> {
     let mut per_bound = Vec::new();
     let loop_free = !prog.has_loops();
     let mut bound = 1;
@@ -36,35 +42,17 @@ pub fn verify_bmc(prog: &Program, max_bound: u32, opts: &VerifyOptions) -> BmcOu
             unroll_bound: bound,
             ..opts.clone()
         };
-        let out = verify(prog, &o);
+        let out = try_verify(prog, &o)?;
         let verdict = out.verdict;
         per_bound.push((bound, out));
-        match verdict {
-            Verdict::Unsafe => {
-                return BmcOutcome {
-                    verdict: Verdict::Unsafe,
-                    bound,
-                    per_bound,
-                };
-            }
-            Verdict::Unknown => {
-                return BmcOutcome {
-                    verdict: Verdict::Unknown,
-                    bound,
-                    per_bound,
-                };
-            }
-            Verdict::Safe => {
-                if loop_free || bound >= max_bound {
-                    return BmcOutcome {
-                        verdict: Verdict::Safe,
-                        bound,
-                        per_bound,
-                    };
-                }
-                bound += 1;
-            }
+        if verdict != Verdict::Safe || loop_free || bound >= max_bound {
+            return Ok(BmcOutcome {
+                verdict,
+                bound,
+                per_bound,
+            });
         }
+        bound += 1;
     }
 }
 
@@ -90,7 +78,7 @@ mod tests {
     #[test]
     fn finds_minimal_violating_bound() {
         let opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
-        let out = verify_bmc(&needs_three_iterations(), 6, &opts);
+        let out = verify_bmc(&needs_three_iterations(), 6, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Unsafe);
         assert_eq!(out.bound, 3, "k* should be 3");
         // Bounds 1 and 2 were unsat.
@@ -102,7 +90,7 @@ mod tests {
     #[test]
     fn safe_up_to_bound() {
         let opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
-        let out = verify_bmc(&needs_three_iterations(), 2, &opts);
+        let out = verify_bmc(&needs_three_iterations(), 2, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Safe);
         assert_eq!(out.bound, 2);
     }
@@ -114,7 +102,7 @@ mod tests {
             .main(vec![assign("x", c(1)), assert_(eq(v("x"), c(1)))])
             .build();
         let opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
-        let out = verify_bmc(&p, 6, &opts);
+        let out = verify_bmc(&p, 6, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Safe);
         assert_eq!(
             out.per_bound.len(),
@@ -151,7 +139,19 @@ mod tests {
             max_conflicts: Some(1),
             ..VerifyOptions::new(MemoryModel::Sc, Strategy::Baseline)
         };
-        let out = verify_bmc(&p, 6, &opts);
+        let out = verify_bmc(&p, 6, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Unknown);
+    }
+
+    #[test]
+    fn typed_errors_are_returned_not_panicked() {
+        let opts = VerifyOptions {
+            max_memory: Some(64),
+            ..VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre)
+        };
+        match verify_bmc(&needs_three_iterations(), 6, &opts) {
+            Err(VerifyError::Encode(zpre_encoder::EncodeError::EncodingTooLarge { .. })) => {}
+            other => panic!("expected EncodingTooLarge, got {other:?}"),
+        }
     }
 }

@@ -1,9 +1,8 @@
 //! Typed verification errors: every failure mode of the pipeline that used
 //! to be a panic, as a value the caller can match on.
 //!
-//! The `try_*` entry points of [`crate::verifier`] return these; the
-//! panicking wrappers (`verify`, `verify_ssa`) preserve the historical
-//! behaviour by unwrapping. The portfolio layer additionally converts a
+//! The `try_*` entry points return these; the panicking wrapper `verify`
+//! preserves the historical behaviour by unwrapping. The portfolio layer additionally converts a
 //! member that panics despite all of this into [`VerifyError::MemberPanic`]
 //! via `catch_unwind`, so one bad member degrades the race instead of
 //! crashing it.
@@ -38,6 +37,14 @@ pub enum VerifyError {
         /// The panic payload, when it was a string.
         message: String,
     },
+    /// The driver cannot honour one of the requested options (e.g. the
+    /// incremental sweep under `certify`); rejected before any work.
+    Unsupported {
+        /// The driver that rejected the options.
+        driver: &'static str,
+        /// The [`crate::VerifyOptions`] field it cannot honour.
+        option: &'static str,
+    },
     /// Every attempt to decide the task ran out of resources: the batch
     /// harness exhausted its whole degradation ladder and the bottom rung
     /// still returned `Unknown` for this reason.
@@ -57,6 +64,9 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::MemberPanic { member, message } => {
                 write!(f, "portfolio member {member} panicked: {message}")
+            }
+            VerifyError::Unsupported { driver, option } => {
+                write!(f, "the {driver} driver does not support `{option}`")
             }
             VerifyError::Exhausted(reason) => {
                 write!(f, "resources exhausted ({reason})")

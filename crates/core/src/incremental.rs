@@ -12,17 +12,15 @@
 //! Loop-free programs collapse to a single frame — every bound yields the
 //! same instance, the same deduplication [`crate::verify_bmc`] applies.
 
-use crate::decision_order::decision_order;
 use crate::errors::VerifyError;
-use crate::strategy::Strategy;
-use crate::verifier::{prepare_encoding, validate_model, Verdict, VerifyOptions};
-use std::sync::Arc;
+use crate::session::Session;
+use crate::verifier::{Verdict, VerifyOptions};
 use std::time::{Duration, Instant};
 use zpre_encoder::encode_sweep_opts;
-use zpre_obs::{Phase, VarClass};
+use zpre_obs::Phase;
 use zpre_prog::{to_ssa_traced, unroll_program_sweep, Program};
-use zpre_sat::{Budget, ExhaustionReason, PriorityListGuide, SolveResult, Solver, Stats};
-use zpre_smt::{ClassCounts, OrderTheory, VarKind};
+use zpre_sat::{ExhaustionReason, Stats};
+use zpre_smt::ClassCounts;
 
 /// One frame (= one bound) of an incremental sweep.
 #[derive(Clone, Debug)]
@@ -84,24 +82,14 @@ pub struct SweepOutcome {
     pub trace: Option<crate::trace::Trace>,
 }
 
-/// Runs an incremental bound sweep over `1..=opts.max_bound`.
-///
-/// # Panics
-///
-/// Panics on any [`VerifyError`] — use [`try_verify_sweep`] for a typed
-/// result.
-pub fn verify_sweep(prog: &Program, opts: &VerifyOptions) -> SweepOutcome {
-    match try_verify_sweep(prog, opts) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Runs an incremental bound sweep over `1..=opts.max_bound`, reporting
 /// failures as typed errors.
 ///
-/// Certification is not supported on sweeps (the proof log would span
-/// several assumption solves); `opts.certify` is ignored here.
+/// The sweep drivers reject two options with
+/// [`VerifyError::Unsupported`] before doing any work: `certify` (the proof
+/// log would span several assumption solves) and `share` (each frame adds
+/// activation variables one solve at a time, so sharing members would not
+/// hold the same instance).
 pub fn try_verify_sweep(prog: &Program, opts: &VerifyOptions) -> Result<SweepOutcome, VerifyError> {
     sweep_impl(prog, opts, true, 1, &mut |_| {})
 }
@@ -157,6 +145,14 @@ fn sweep_impl(
     start_bound: u32,
     on_frame: &mut dyn FnMut(&FrameOutcome),
 ) -> Result<SweepOutcome, VerifyError> {
+    for (set, option) in [(opts.certify, "certify"), (opts.share.is_some(), "share")] {
+        if set {
+            return Err(VerifyError::Unsupported {
+                driver: "incremental sweep",
+                option,
+            });
+        }
+    }
     let t0 = Instant::now();
     let rec = opts.recorder.as_ref();
     let max_bound = opts.max_bound.max(1);
@@ -168,64 +164,16 @@ fn sweep_impl(
     };
     let ssa = to_ssa_traced(&sw.program, rec);
 
-    let mut theory = OrderTheory::new();
-    if opts.strategy == Strategy::ZpreNoReverseProp {
-        theory.set_propagate_reverse(false);
-    }
-    if opts.strategy == Strategy::ZpreDfsCheck {
-        theory.set_full_dfs_check(true);
-    }
-    let guide = PriorityListGuide::new(Vec::new(), opts.seed);
-    let mut solver: Solver<OrderTheory, PriorityListGuide> = Solver::with_parts(theory, guide);
     // Pruning on the horizon encoding: the report's justifications rest on
     // fixed program-order edges and guard implications, which frames never
     // weaken, so one analysis at the horizon serves every bound (see
     // `encode_sweep_opts`).
-    let mut enc = {
-        let report = prepare_encoding(&ssa, opts)?;
-        encode_sweep_opts(&ssa, opts.mm, max_bound, &mut solver, rec, report.as_ref())?
-    };
-
-    if let Some(r) = rec {
-        let mut classes = vec![VarClass::Other; solver.num_vars()];
-        for (v, info) in enc.base.registry.iter() {
-            classes[v.index()] = match info.kind {
-                VarKind::Rf { external: true, .. } => VarClass::ExternalRf,
-                VarKind::Rf {
-                    external: false, ..
-                } => VarClass::InternalRf,
-                VarKind::Ws => VarClass::Ws,
-                _ => VarClass::Other,
-            };
-        }
-        r.set_var_classes(classes);
-        let sink: Arc<dyn zpre_obs::EventSink> = Arc::new(r.clone());
-        solver.set_event_sink(Some(sink.clone()));
-        solver.theory.set_event_sink(Some(sink));
-    }
-
-    // The H1–H4 interference order is horizon-wide: every frame's
-    // interference variables exist after the single base encoding, so the
-    // priority list is installed once and serves all bounds.
-    let order: Vec<u32> = if opts.strategy.uses_interference_order() {
-        decision_order(&enc.base.registry, opts.strategy.refinements())
-    } else if opts.strategy == Strategy::BranchCond {
-        let mut seen = std::collections::HashSet::new();
-        enc.base
-            .guard_lits
-            .iter()
-            .map(|l| l.var().index() as u32)
-            .filter(|v| seen.insert(*v))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut guide = PriorityListGuide::new(order, opts.seed);
-    if opts.strategy == Strategy::ZpreFixedTrue {
-        guide = guide.with_fixed_polarity(true);
-    }
-    solver.guide = guide;
-
+    let (mut session, mut enc) = Session::open(
+        &ssa,
+        opts,
+        |solver, report| encode_sweep_opts(&ssa, opts.mm, max_bound, solver, rec, report),
+        |enc| &enc.base,
+    )?;
     let encode_time = t0.elapsed();
     let num_events = ssa.events.len();
     let class_counts = enc.base.registry.class_counts();
@@ -242,49 +190,23 @@ fn sweep_impl(
     // Frames must exist in order 1..=K for the assumption prefixes; on a
     // resume, the already-decided bounds are encoded without being solved.
     for k in 1..start {
-        enc.encode_frame(k, &mut solver);
+        enc.encode_frame(k, &mut session.solver);
     }
     for k in start..=last_bound {
-        enc.encode_frame(k, &mut solver);
-        // Budgets are per frame: the per-call conflict accounting and the
-        // one-shot deadline arming both reset with a fresh Budget.
-        let mut budget = Budget::with_limits(opts.max_conflicts, opts.timeout);
-        if let Some(token) = &opts.cancel {
-            budget = budget.with_cancel(token.clone());
-        }
-        if let Some(cap) = opts.max_memory {
-            budget = budget.with_max_memory(cap);
-        }
-        solver.set_budget(budget);
-
-        let before = *solver.stats();
+        enc.encode_frame(k, &mut session.solver);
+        let before = *session.solver.stats();
         if let Some(r) = rec {
             r.record_frame(before.learnt_clauses, before.conflicts);
         }
+        // Budgets are per frame: `solve` arms a fresh one for every call.
         let label = format!("k={k}");
-        let span = rec.map(|r| r.span_labeled(Phase::Solve, Some(&label)));
-        let t1 = Instant::now();
-        let result = solver.solve_with_assumptions(&enc.assumptions(k));
-        if let Some(s) = span {
-            s.close();
-        }
-        let frame_time = t1.elapsed();
+        let (frame_verdict, frame_time) =
+            session.solve(&enc.base, &enc.assumptions(k), Some(&label))?;
         solve_time += frame_time;
         if let Some(r) = rec {
             r.record_frame_solved(frame_time.as_micros() as u64);
         }
-        let after = *solver.stats();
-
-        let frame_verdict = match result {
-            SolveResult::Sat => Verdict::Unsafe,
-            SolveResult::Unsat => Verdict::Safe,
-            SolveResult::Unknown => Verdict::Unknown,
-        };
-        if frame_verdict == Verdict::Unsafe && opts.validate_models {
-            let _validate_span = rec.map(|r| r.span(Phase::Validate));
-            validate_model(&ssa, &enc.base, &solver, opts.mm)
-                .map_err(VerifyError::ModelValidation)?;
-        }
+        let after = *session.solver.stats();
         frames.push(FrameOutcome {
             bound: k,
             verdict: frame_verdict,
@@ -294,7 +216,7 @@ fn sweep_impl(
             propagations: after.propagations - before.propagations,
             reused_learnts: before.learnt_clauses,
             reused_conflicts: before.conflicts,
-            exhaustion: solver.exhaustion(),
+            exhaustion: session.solver.exhaustion(),
         });
         on_frame(frames.last().expect("frame just pushed"));
         // The overall verdict is the first non-Safe frame's; a full sweep
@@ -311,25 +233,18 @@ fn sweep_impl(
     // reported bound stays 1, matching `verify_bmc`'s deduplicated loop.
 
     let trace = (verdict == Verdict::Unsafe && opts.want_trace)
-        .then(|| crate::trace::extract_trace(&ssa, &enc.base, &solver, opts.mm));
-
-    let mut stats = *solver.stats();
-    let cs = solver.theory.cycle_stats();
-    stats.eog_checks = cs.checks;
-    stats.eog_accepted_o1 = cs.accepted_o1;
-    stats.eog_visited = cs.visited;
-    stats.eog_promoted = cs.promoted;
+        .then(|| crate::trace::extract_trace(&ssa, &enc.base, &session.solver, opts.mm));
 
     Ok(SweepOutcome {
         verdict,
         bound: decided,
         frames,
-        stats,
+        stats: session.stats(),
         encode_time,
         solve_time,
         num_events,
         class_counts,
-        num_solver_vars: solver.num_vars(),
+        num_solver_vars: session.solver.num_vars(),
         loop_free,
         trace,
     })
@@ -339,6 +254,7 @@ fn sweep_impl(
 mod tests {
     use super::*;
     use crate::bmc::verify_bmc;
+    use crate::strategy::Strategy;
     use zpre_prog::build::*;
     use zpre_prog::MemoryModel;
 
@@ -374,12 +290,12 @@ mod tests {
     fn sweep_finds_kstar_and_matches_scratch() {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
-        let sweep = verify_sweep(&kstar3(), &opts);
+        let sweep = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert_eq!(sweep.verdict, Verdict::Unsafe);
         assert_eq!(sweep.bound, 3, "k* = 3");
         assert_eq!(sweep.frames.len(), 3);
 
-        let scratch = verify_bmc(&kstar3(), 6, &opts);
+        let scratch = verify_bmc(&kstar3(), 6, &opts).unwrap();
         assert_eq!(scratch.verdict, Verdict::Unsafe);
         assert_eq!(scratch.bound, sweep.bound);
         for (f, (b, o)) in sweep.frames.iter().zip(&scratch.per_bound) {
@@ -414,7 +330,7 @@ mod tests {
     fn later_frames_inherit_solver_state() {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 4;
-        let sweep = verify_sweep(&kstar3(), &opts);
+        let sweep = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert!(sweep.frames.len() >= 2);
         assert_eq!(sweep.frames[0].reused_learnts, 0);
         assert_eq!(sweep.frames[0].reused_conflicts, 0);
@@ -432,7 +348,7 @@ mod tests {
     fn loop_free_sweep_solves_one_frame() {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
-        let sweep = verify_sweep(&racy(), &opts);
+        let sweep = try_verify_sweep(&racy(), &opts).unwrap();
         assert!(sweep.loop_free);
         assert_eq!(sweep.frames.len(), 1);
         assert_eq!(sweep.verdict, Verdict::Unsafe);
@@ -450,7 +366,7 @@ mod tests {
             .build();
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 5;
-        let sweep = verify_sweep(&p, &opts);
+        let sweep = try_verify_sweep(&p, &opts).unwrap();
         assert_eq!(sweep.verdict, Verdict::Safe);
         assert_eq!(sweep.bound, 5);
         assert_eq!(sweep.frames.len(), 5);
@@ -462,7 +378,7 @@ mod tests {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 4;
         opts.want_trace = true;
-        let sweep = verify_sweep(&kstar3(), &opts);
+        let sweep = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert_eq!(sweep.verdict, Verdict::Unsafe);
         let trace = sweep.trace.expect("trace requested");
         assert!(!trace.steps.is_empty());
@@ -472,7 +388,7 @@ mod tests {
     fn resumed_sweep_matches_uninterrupted_tail() {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
-        let full = verify_sweep(&kstar3(), &opts);
+        let full = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert_eq!(full.frames.len(), 3, "k*=3 under stop-early");
 
         // Resume from bound 3 as if frames 1–2 came from a journal: the
@@ -502,7 +418,7 @@ mod tests {
         // The pruned encoding of kstar3 solves within zero conflicts; this
         // test is about exhaustion reporting, so keep the instance hard.
         opts.prune = false;
-        let sweep = verify_sweep(&kstar3(), &opts);
+        let sweep = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert_eq!(sweep.verdict, Verdict::Unknown);
         let last = sweep.frames.last().unwrap();
         assert_eq!(last.verdict, Verdict::Unknown);
@@ -516,14 +432,47 @@ mod tests {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
         opts.max_conflicts = None;
-        let free = verify_sweep(&kstar3(), &opts);
+        let free = try_verify_sweep(&kstar3(), &opts).unwrap();
         let worst = free.frames.iter().map(|f| f.conflicts).max().unwrap();
         let total: u64 = free.frames.iter().map(|f| f.conflicts).sum();
         if total > worst {
             opts.max_conflicts = Some(worst + 1);
-            let capped = verify_sweep(&kstar3(), &opts);
+            let capped = try_verify_sweep(&kstar3(), &opts).unwrap();
             assert_eq!(capped.verdict, free.verdict);
             assert_eq!(capped.bound, free.bound);
         }
+    }
+
+    #[test]
+    fn sweep_rejects_certify() {
+        let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
+        opts.certify = true;
+        let err = try_verify_sweep(&kstar3(), &opts).unwrap_err();
+        assert_eq!(
+            err,
+            VerifyError::Unsupported {
+                driver: "incremental sweep",
+                option: "certify"
+            }
+        );
+    }
+
+    #[test]
+    fn sweep_rejects_clause_sharing() {
+        let cfg = zpre_sat::ShareConfig::default();
+        let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
+        opts.share = Some(zpre_sat::ShareSpec {
+            pool: zpre_sat::SharedPool::new(cfg.pool_cap),
+            member: 0,
+            cfg,
+        });
+        let err = try_verify_sweep_full(&kstar3(), &opts).unwrap_err();
+        assert_eq!(
+            err,
+            VerifyError::Unsupported {
+                driver: "incremental sweep",
+                option: "share"
+            }
+        );
     }
 }

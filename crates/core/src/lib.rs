@@ -50,6 +50,7 @@ pub mod faults;
 pub mod harness;
 pub mod incremental;
 pub mod portfolio;
+mod session;
 pub mod strategy;
 pub mod trace;
 pub mod verifier;
@@ -63,18 +64,14 @@ pub use harness::{
     run_batch, BatchOptions, BatchOutcome, BatchTask, LadderRung, RungRecord, TaskReport,
 };
 pub use incremental::{
-    try_verify_sweep, try_verify_sweep_full, try_verify_sweep_resumed, verify_sweep, FrameOutcome,
-    SweepOutcome,
+    try_verify_sweep, try_verify_sweep_full, try_verify_sweep_resumed, FrameOutcome, SweepOutcome,
 };
 pub use portfolio::{
-    verify_portfolio, verify_ssa_portfolio, MemberResult, PortfolioMember, PortfolioOptions,
-    PortfolioOutcome,
+    verify_portfolio, MemberResult, PortfolioMember, PortfolioOptions, PortfolioOutcome,
 };
 pub use strategy::Strategy;
 pub use trace::{Trace, TraceStep};
-pub use verifier::{
-    try_verify, try_verify_ssa, verify, verify_ssa, Verdict, VerifyOptions, VerifyOutcome,
-};
+pub use verifier::{try_verify, try_verify_ssa, verify, Verdict, VerifyOptions, VerifyOutcome};
 pub use zpre_sat::{ExhaustionReason, ShareConfig, ShareSpec};
 
 /// Convenient glob-import surface for examples and downstream users.

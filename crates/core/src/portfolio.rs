@@ -33,7 +33,7 @@ use crate::verifier::{verify_ssa_inner, Verdict, VerifyOptions, VerifyOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use zpre_obs::MemberRecord;
+use zpre_obs::{MemberRecord, Recorder};
 use zpre_prog::{flatten, to_ssa_traced, unroll_program_traced, FlatProgram, Program, SsaProgram};
 use zpre_sat::{CancelToken, ExhaustionReason, ShareConfig, ShareSpec, SharedPool};
 
@@ -162,26 +162,6 @@ impl PortfolioOutcome {
     }
 }
 
-/// Unrolls + SSA-converts `prog` once, then races the portfolio over it.
-///
-/// When `base.certify` is set, the flat lowering is shared with every
-/// member so certified `Unsafe` verdicts can replay their witness.
-pub fn verify_portfolio(prog: &Program, opts: &PortfolioOptions) -> PortfolioOutcome {
-    let rec = opts.base.recorder.as_ref();
-    let unrolled = unroll_program_traced(prog, opts.base.unroll_bound, rec);
-    let ssa = to_ssa_traced(&unrolled, rec);
-    let flat = opts.base.certify.then(|| flatten(&unrolled));
-    portfolio_inner(&ssa, opts, flat.as_ref())
-}
-
-/// Races all members over the same SSA program on scoped threads.
-///
-/// Certified `Unsafe` verdicts fail closed here (no flat program to replay
-/// against); use [`verify_portfolio`] for certified runs.
-pub fn verify_ssa_portfolio(ssa: &SsaProgram, opts: &PortfolioOptions) -> PortfolioOutcome {
-    portfolio_inner(ssa, opts, None)
-}
-
 /// One member's run, quarantined: a panic becomes an `Err(String)`, as
 /// does a typed [`VerifyError`].
 fn run_member(
@@ -224,15 +204,68 @@ fn unknown_outcome(ssa: &SsaProgram, exhaustion: Option<ExhaustionReason>) -> Ve
     }
 }
 
-fn portfolio_inner(
-    ssa: &SsaProgram,
-    opts: &PortfolioOptions,
-    flat: Option<&FlatProgram>,
-) -> PortfolioOutcome {
+/// Builds one member's result row and, with a recorder installed, records
+/// its per-strategy telemetry: who won, who was cancelled at what depth
+/// (decision count), who was quarantined and why.
+fn member_result(
+    rec: Option<&Recorder>,
+    name: &str,
+    strategy: Strategy,
+    report: &Result<VerifyOutcome, String>,
+    time: Duration,
+    winner: bool,
+    cancelled: bool,
+) -> MemberResult {
+    let m = MemberResult {
+        name: name.to_string(),
+        strategy,
+        verdict: report
+            .as_ref()
+            .map(|o| o.verdict)
+            .unwrap_or(Verdict::Unknown),
+        time,
+        cancelled,
+        error: report.as_ref().err().cloned(),
+        exhaustion: match report {
+            Ok(o) => o.exhaustion,
+            Err(_) => Some(ExhaustionReason::Quarantined),
+        },
+    };
+    if let Some(r) = rec {
+        let (decisions, conflicts) = report
+            .as_ref()
+            .map(|o| (o.stats.decisions, o.stats.conflicts))
+            .unwrap_or((0, 0));
+        r.record_member(MemberRecord {
+            name: m.name.clone(),
+            strategy: strategy.name().to_string(),
+            verdict: m.verdict.to_string(),
+            winner,
+            cancelled,
+            decisions,
+            conflicts,
+            time_us: time.as_micros() as u64,
+            error: m.error.clone(),
+        });
+    }
+    m
+}
+
+/// Unrolls + SSA-converts `prog` once, then races all members over the
+/// same SSA program on scoped threads.
+///
+/// When `base.certify` is set, the flat lowering is shared with every
+/// member so certified `Unsafe` verdicts can replay their witness.
+pub fn verify_portfolio(prog: &Program, opts: &PortfolioOptions) -> PortfolioOutcome {
     assert!(
         !opts.members.is_empty(),
         "portfolio needs at least one member"
     );
+    let rec = opts.base.recorder.as_ref();
+    let unrolled = unroll_program_traced(prog, opts.base.unroll_bound, rec);
+    let ssa = &to_ssa_traced(&unrolled, rec);
+    let flat = opts.base.certify.then(|| flatten(&unrolled));
+    let flat = flat.as_ref();
     let token = CancelToken::new();
     let external = opts.base.cancel.clone();
     // One pool per race; members get per-index endpoints below. Dropping
@@ -258,11 +291,7 @@ fn portfolio_inner(
             // All members share the base recorder's buffer; each clone tags
             // its spans/events with the member name so per-strategy streams
             // stay separable in the exported trace.
-            member_opts.recorder = opts
-                .base
-                .recorder
-                .as_ref()
-                .map(|r| r.member_labeled(&member.name));
+            member_opts.recorder = rec.map(|r| r.member_labeled(&member.name));
             member_opts.share = share_pool.as_ref().map(|(pool, cfg)| ShareSpec {
                 pool: std::sync::Arc::clone(pool),
                 member: i as u32,
@@ -344,45 +373,21 @@ fn portfolio_inner(
         .members
         .iter()
         .zip(&results)
-        .map(|(member, (report, elapsed))| MemberResult {
-            name: member.name.clone(),
-            strategy: member.strategy,
-            verdict: report
-                .as_ref()
-                .map(|o| o.verdict)
-                .unwrap_or(Verdict::Unknown),
-            time: *elapsed,
-            cancelled: matches!(report, Ok(o) if o.verdict == Verdict::Unknown)
-                && first_definitive.is_some(),
-            error: report.as_ref().err().cloned(),
-            exhaustion: match report {
-                Ok(o) => o.exhaustion,
-                Err(_) => Some(ExhaustionReason::Quarantined),
-            },
+        .enumerate()
+        .map(|(i, (member, (report, elapsed)))| {
+            let cancelled = matches!(report, Ok(o) if o.verdict == Verdict::Unknown)
+                && first_definitive.is_some();
+            member_result(
+                rec,
+                &member.name,
+                member.strategy,
+                report,
+                *elapsed,
+                first_definitive == Some(i),
+                cancelled,
+            )
         })
         .collect();
-
-    // Per-strategy telemetry: who won, who was cancelled at what depth
-    // (decision count), who was quarantined and why.
-    if let Some(r) = &opts.base.recorder {
-        for (i, (m, (report, _))) in members.iter().zip(&results).enumerate() {
-            let (decisions, conflicts) = report
-                .as_ref()
-                .map(|o| (o.stats.decisions, o.stats.conflicts))
-                .unwrap_or((0, 0));
-            r.record_member(MemberRecord {
-                name: m.name.clone(),
-                strategy: m.strategy.name().to_string(),
-                verdict: m.verdict.to_string(),
-                winner: first_definitive == Some(i),
-                cancelled: m.cancelled,
-                decisions,
-                conflicts,
-                time_us: m.time.as_micros() as u64,
-                error: m.error.clone(),
-            });
-        }
-    }
 
     if let Some(win) = first_definitive {
         let outcome = results
@@ -410,48 +415,20 @@ fn portfolio_inner(
         retry_opts.seed = opts.base.seed.wrapping_add(0xDEAD_BEEF);
         retry_opts.cancel = external;
         retry_opts.share = None; // the retry re-checks from a clean slate
-        retry_opts.recorder = opts
-            .base
-            .recorder
-            .as_ref()
-            .map(|r| r.member_labeled("retry:baseline"));
+        retry_opts.recorder = rec.map(|r| r.member_labeled("retry:baseline"));
         let t0 = Instant::now();
         let report = run_member(ssa, &retry_opts, flat);
-        let elapsed = t0.elapsed();
         let retry_name = "retry:baseline".to_string();
-        members.push(MemberResult {
-            name: retry_name.clone(),
-            strategy: Strategy::Baseline,
-            verdict: report
-                .as_ref()
-                .map(|o| o.verdict)
-                .unwrap_or(Verdict::Unknown),
-            time: elapsed,
-            cancelled: false,
-            error: report.as_ref().err().cloned(),
-            exhaustion: match &report {
-                Ok(o) => o.exhaustion,
-                Err(_) => Some(ExhaustionReason::Quarantined),
-            },
-        });
-        if let Some(r) = &opts.base.recorder {
-            let m = members.last().expect("retry member just pushed");
-            let (decisions, conflicts) = report
-                .as_ref()
-                .map(|o| (o.stats.decisions, o.stats.conflicts))
-                .unwrap_or((0, 0));
-            r.record_member(MemberRecord {
-                name: m.name.clone(),
-                strategy: m.strategy.name().to_string(),
-                verdict: m.verdict.to_string(),
-                winner: matches!(&report, Ok(o) if o.verdict != Verdict::Unknown),
-                cancelled: false,
-                decisions,
-                conflicts,
-                time_us: elapsed.as_micros() as u64,
-                error: m.error.clone(),
-            });
-        }
+        let won = matches!(&report, Ok(o) if o.verdict != Verdict::Unknown);
+        members.push(member_result(
+            rec,
+            &retry_name,
+            Strategy::Baseline,
+            &report,
+            t0.elapsed(),
+            won,
+            false,
+        ));
         match report {
             Ok(outcome) if outcome.verdict != Verdict::Unknown => {
                 return PortfolioOutcome {

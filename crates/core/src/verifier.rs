@@ -9,24 +9,19 @@
 //! check that the solver, theory, blaster, and encoder agree.
 
 use crate::certify::{certify_safe, certify_unsafe, Certificate};
-use crate::decision_order::decision_order;
 use crate::errors::VerifyError;
 use crate::faults::Fault;
+use crate::session::Session;
 use crate::strategy::Strategy;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zpre_analysis::{ProgramOrder, PruneReport};
 use zpre_bv::{lits_to_u64, TermKind};
-use zpre_encoder::{estimate_cnf, po_pairs, try_encode_opts, EncodeError, Encoded};
-use zpre_obs::{Phase, Recorder, VarClass};
+use zpre_encoder::{po_pairs, try_encode_opts, Encoded};
+use zpre_obs::Recorder;
 use zpre_prog::ssa::EventKind;
 use zpre_prog::{
     flatten, to_ssa_traced, unroll_program_traced, FlatProgram, MemoryModel, Program, SsaProgram,
 };
-use zpre_sat::{
-    Budget, CancelToken, ExhaustionReason, PriorityListGuide, ShareSpec, SolveResult, Solver,
-    Stats, Var,
-};
+use zpre_sat::{CancelToken, ExhaustionReason, PriorityListGuide, ShareSpec, Solver, Stats};
 use zpre_smt::{ClassCounts, OrderTheory, VarKind};
 
 /// Verification verdict.
@@ -61,7 +56,7 @@ pub struct VerifyOptions {
     pub strategy: Strategy,
     /// BMC loop unroll bound.
     pub unroll_bound: u32,
-    /// Sweep horizon for [`crate::verify_sweep`]: bounds `1..=max_bound`
+    /// Sweep horizon for [`crate::try_verify_sweep`]: bounds `1..=max_bound`
     /// are checked incrementally in one solver. Ignored by [`verify`],
     /// which solves the single bound `unroll_bound`.
     pub max_bound: u32,
@@ -209,19 +204,6 @@ pub fn try_verify(prog: &Program, opts: &VerifyOptions) -> Result<VerifyOutcome,
     verify_ssa_inner(&ssa, opts, t0, flat.as_ref())
 }
 
-/// Verifies an already-converted SSA program.
-///
-/// # Panics
-///
-/// Panics on any [`VerifyError`] — use [`try_verify_ssa`] for a typed
-/// result.
-pub fn verify_ssa(ssa: &SsaProgram, opts: &VerifyOptions) -> VerifyOutcome {
-    match try_verify_ssa(ssa, opts) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Verifies an already-converted SSA program, reporting failures as typed
 /// errors.
 ///
@@ -235,180 +217,31 @@ pub fn try_verify_ssa(
     verify_ssa_inner(ssa, opts, Instant::now(), None)
 }
 
-/// The pre-encoding steps shared by one-shot and sweep verification. The
-/// program order is computed once; the pre-blast size estimate and the
-/// static pruning pass both use it, and the returned report hands it on to
-/// the encoder.
-///
-/// - Pre-blast guard: an encoding whose estimated footprint exceeds
-///   `opts.max_memory` is refused before any of it is allocated.
-/// - Static interference pruning (unless disabled) runs under a
-///   [`Phase::Prune`] span, its counters go to the recorder, and under
-///   `--certify` every justification is re-verified by the independent
-///   checker before the smaller encoding is trusted.
-pub(crate) fn prepare_encoding(
-    ssa: &SsaProgram,
-    opts: &VerifyOptions,
-) -> Result<Option<PruneReport>, VerifyError> {
-    if !opts.prunes() && opts.max_memory.is_none() {
-        return Ok(None);
-    }
-    let order = ProgramOrder::new(ssa, opts.mm).ok_or(EncodeError::CyclicProgramOrder)?;
-    if let Some(cap) = opts.max_memory {
-        let est = estimate_cnf(ssa, &order);
-        if est.bytes() > cap {
-            return Err(VerifyError::Encode(EncodeError::EncodingTooLarge {
-                estimated_bytes: est.bytes(),
-                cap_bytes: cap,
-            }));
-        }
-    }
-    if !opts.prunes() {
-        return Ok(None);
-    }
-    let rec = opts.recorder.as_ref();
-    let rep = {
-        let _span = rec.map(|r| r.span(Phase::Prune));
-        zpre_analysis::analyze_order(ssa, order)
-    };
-    if let Some(r) = rec {
-        let c = &rep.counters;
-        r.record_prune(
-            c.rf_pruned,
-            c.rf_kept,
-            c.ws_pruned,
-            c.ws_serialized,
-            c.reads_resolved,
-            c.local_vars,
-        );
-    }
-    if opts.certify {
-        zpre_analysis::check_report(ssa, &rep).map_err(|reason| VerifyError::Certification {
-            stage: "prune",
-            reason,
-        })?;
-    }
-    Ok(Some(rep))
-}
-
+/// One-shot verification: one [`Session`] and one solve without
+/// assumptions, then the trace, certification and (in debug builds) the
+/// prune oracle. `t0` marks the start of the encode time the outcome
+/// reports.
 pub(crate) fn verify_ssa_inner(
     ssa: &SsaProgram,
     opts: &VerifyOptions,
     t0: Instant,
     flat: Option<&FlatProgram>,
 ) -> Result<VerifyOutcome, VerifyError> {
-    let mut theory = OrderTheory::new();
-    if opts.strategy == Strategy::ZpreNoReverseProp {
-        theory.set_propagate_reverse(false);
-    }
-    if opts.strategy == Strategy::ZpreDfsCheck {
-        theory.set_full_dfs_check(true);
-    }
-    if opts.certify {
-        theory.enable_lemma_journal();
-    }
-    let guide = PriorityListGuide::new(Vec::new(), opts.seed);
-    let mut solver: Solver<OrderTheory, PriorityListGuide> = Solver::with_parts(theory, guide);
-    if opts.certify {
-        solver.enable_proof_logging();
-    }
     let rec = opts.recorder.as_ref();
-    let enc = {
-        let report = prepare_encoding(ssa, opts)?;
-        try_encode_opts(ssa, opts.mm, &mut solver, rec, report.as_ref())?
-    };
-
-    // With a recorder installed, resolve solver vars to interference classes
-    // and stream solver/theory events into it.
-    if let Some(r) = rec {
-        let mut classes = vec![VarClass::Other; solver.num_vars()];
-        for (v, info) in enc.registry.iter() {
-            classes[v.index()] = match info.kind {
-                VarKind::Rf { external: true, .. } => VarClass::ExternalRf,
-                VarKind::Rf {
-                    external: false, ..
-                } => VarClass::InternalRf,
-                VarKind::Ws => VarClass::Ws,
-                _ => VarClass::Other,
-            };
-        }
-        r.set_var_classes(classes);
-        let sink: Arc<dyn zpre_obs::EventSink> = Arc::new(r.clone());
-        solver.set_event_sink(Some(sink.clone()));
-        solver.theory.set_event_sink(Some(sink));
-    }
-
-    // Hook this member into the portfolio share pool. The hot-var table
-    // (external-RF interference variables get the relaxed LBD export cap)
-    // comes straight from the encoder registry, independent of any recorder.
-    if let Some(spec) = &opts.share {
-        solver.set_share(spec);
-        let hot: Vec<Var> = enc
-            .registry
-            .iter()
-            .filter(|(_, info)| matches!(info.kind, VarKind::Rf { external: true, .. }))
-            .map(|(v, _)| v)
-            .collect();
-        solver.set_share_hot_vars(&hot);
-    }
-
-    // Install the decision order for the chosen strategy.
-    let mut order: Vec<u32> = if opts.strategy.uses_interference_order() {
-        decision_order(&enc.registry, opts.strategy.refinements())
-    } else if opts.strategy == Strategy::BranchCond {
-        // Guard variables in event order, deduplicated.
-        let mut seen = std::collections::HashSet::new();
-        enc.guard_lits
-            .iter()
-            .map(|l| l.var().index() as u32)
-            .filter(|v| seen.insert(*v))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    if opts.fault == Some(Fault::ShuffleGuideOrder) {
-        // Benign control fault: the heuristic order is scrambled, but the
-        // verdict and its certificate must come out unchanged.
-        order.reverse();
-    }
-    let mut guide = PriorityListGuide::new(order, opts.seed);
-    if opts.strategy == Strategy::ZpreFixedTrue {
-        guide = guide.with_fixed_polarity(true);
-    }
-    solver.guide = guide;
-    let mut budget = Budget::with_limits(opts.max_conflicts, opts.timeout);
-    if let Some(token) = &opts.cancel {
-        budget = budget.with_cancel(token.clone());
-    }
-    if let Some(cap) = opts.max_memory {
-        budget = budget.with_max_memory(cap);
-    }
-    solver.set_budget(budget);
-
+    let (mut session, enc) = Session::open(
+        ssa,
+        opts,
+        |solver, report| try_encode_opts(ssa, opts.mm, solver, rec, report),
+        |enc| enc,
+    )?;
     let encode_time = t0.elapsed();
-    let t1 = Instant::now();
-    let solve_span = rec.map(|r| r.span(Phase::Solve));
-    let result = solver.solve();
-    if let Some(s) = solve_span {
-        s.close();
-    }
-    let solve_time = t1.elapsed();
-
-    let verdict = match result {
-        SolveResult::Sat => Verdict::Unsafe,
-        SolveResult::Unsat => Verdict::Safe,
-        SolveResult::Unknown => Verdict::Unknown,
-    };
-    if verdict == Verdict::Unsafe && opts.validate_models {
-        let _validate_span = rec.map(|r| r.span(Phase::Validate));
-        validate_model(ssa, &enc, &solver, opts.mm).map_err(VerifyError::ModelValidation)?;
-    }
+    let (verdict, solve_time) = session.solve(&enc, &[], None)?;
     let trace = (verdict == Verdict::Unsafe && (opts.want_trace || opts.certify))
-        .then(|| crate::trace::extract_trace(ssa, &enc, &solver, opts.mm));
+        .then(|| crate::trace::extract_trace(ssa, &enc, &session.solver, opts.mm));
 
     let certificate = if opts.certify {
         match verdict {
-            Verdict::Safe => Some(certify_safe(&mut solver, opts.fault, rec)?),
+            Verdict::Safe => Some(certify_safe(&mut session.solver, opts.fault, rec)?),
             Verdict::Unsafe => {
                 let Some(flat) = flat else {
                     return Err(VerifyError::Certification {
@@ -420,7 +253,14 @@ pub(crate) fn verify_ssa_inner(
                 };
                 let trace = trace.as_ref().expect("trace extracted for certification");
                 Some(certify_unsafe(
-                    ssa, &enc, &solver, opts.mm, flat, trace, opts.fault, rec,
+                    ssa,
+                    &enc,
+                    &session.solver,
+                    opts.mm,
+                    flat,
+                    trace,
+                    opts.fault,
+                    rec,
                 )?)
             }
             Verdict::Unknown => None,
@@ -457,26 +297,17 @@ pub(crate) fn verify_ssa_inner(
         }
     }
 
-    // Copy the order theory's cycle-check work counters into the outcome
-    // stats (the solver itself doesn't know about the theory's engine).
-    let mut stats = *solver.stats();
-    let cs = solver.theory.cycle_stats();
-    stats.eog_checks = cs.checks;
-    stats.eog_accepted_o1 = cs.accepted_o1;
-    stats.eog_visited = cs.visited;
-    stats.eog_promoted = cs.promoted;
-
     Ok(VerifyOutcome {
         verdict,
-        stats,
+        stats: session.stats(),
         solve_time,
         encode_time,
         num_events: ssa.events.len(),
         class_counts: enc.registry.class_counts(),
-        num_solver_vars: solver.num_vars(),
+        num_solver_vars: session.solver.num_vars(),
         trace: trace.filter(|_| opts.want_trace),
         certificate,
-        exhaustion: solver.exhaustion(),
+        exhaustion: session.solver.exhaustion(),
     })
 }
 
@@ -678,6 +509,7 @@ fn kahn_clocks(n: usize, edges: &[(usize, usize)]) -> Option<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zpre_encoder::EncodeError;
     use zpre_prog::build::*;
 
     fn racy() -> Program {

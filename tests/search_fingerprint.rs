@@ -1,21 +1,24 @@
 //! Search fingerprint: pins the exact search effort of a few small jobs.
 //!
-//! Performance work on the program-order and order-theory layers must
-//! leave every search step as it was. Each case runs the one-shot ZPRE
-//! pipeline from public calls (unroll → SSA → prune → encode → H1–H4 order
-//! → solve) and compares decisions, conflicts, propagations and the order
-//! theory's cycle-check counters with recorded values. A change that alters
-//! search on purpose re-records them here and says so in CHANGES.md. Each
-//! case runs in well under a second in the debug build.
+//! Performance work on the program-order and order-theory layers, and
+//! refactors of the verifier's own setup, must leave every search step as
+//! it was. The first cases run the one-shot ZPRE pipeline from public calls
+//! (unroll → SSA → prune → encode → H1–H4 order → solve); the last two go
+//! through the verifier's entry points (`try_verify`,
+//! `try_verify_sweep_full`). Each compares decisions, conflicts,
+//! propagations and the order theory's cycle-check counters with recorded
+//! values. A change that alters search on purpose re-records them here and
+//! says so in CHANGES.md. Each case runs in well under a second in the
+//! debug build.
 
-use zpre::{decision_order, Strategy};
+use zpre::{decision_order, try_verify, try_verify_sweep_full, Strategy, Verdict, VerifyOptions};
 use zpre_encoder::try_encode_opts;
 use zpre_prog::build::*;
 use zpre_prog::{to_ssa, unroll_program, MemoryModel, Program};
-use zpre_sat::{PriorityListGuide, SolveResult, Solver};
+use zpre_sat::{PriorityListGuide, SolveResult, Solver, Stats};
 use zpre_smt::{CycleStats, OrderTheory};
 use zpre_workloads::util::{ballast, harness_program};
-use zpre_workloads::{pthread, Scale};
+use zpre_workloads::{divine, pthread, Scale};
 
 /// The polarity seed `harness` and the repository benchmark default to.
 const SEED: u64 = 0xC0FFEE;
@@ -116,4 +119,89 @@ fn locked_counter_under_tso() {
         cycles: cycles(80, 28, 52, 118, 67),
     };
     assert_eq!(got, want);
+}
+
+/// Search effort as the verifier's own entry points report it: the same
+/// counters, read from the returned [`zpre_sat::Stats`]. These cases see a
+/// change in the verifier's setup (theory switches, guide install, budget)
+/// that the public-call cases above cannot.
+#[derive(Debug, PartialEq, Eq)]
+struct Effort {
+    verdict: Verdict,
+    decisions: u64,
+    conflicts: u64,
+    propagations: u64,
+    /// `eog_checks`, `eog_accepted_o1`, `eog_visited`, `eog_promoted`.
+    eog: [u64; 4],
+}
+
+impl Effort {
+    fn of(verdict: Verdict, s: &Stats) -> Effort {
+        Effort {
+            verdict,
+            decisions: s.decisions,
+            conflicts: s.conflicts,
+            propagations: s.propagations,
+            eog: [
+                s.eog_checks,
+                s.eog_accepted_o1,
+                s.eog_visited,
+                s.eog_promoted,
+            ],
+        }
+    }
+}
+
+#[test]
+fn one_shot_entry_point_on_padded_store_buffering_under_tso() {
+    let opts = VerifyOptions {
+        unroll_bound: 1,
+        seed: SEED,
+        ..VerifyOptions::new(MemoryModel::Tso, Strategy::Zpre)
+    };
+    let out = try_verify(&padded_sb(12), &opts).expect("verifies");
+    let want = Effort {
+        verdict: Verdict::Unsafe,
+        decisions: 19,
+        conflicts: 1,
+        propagations: 863,
+        eog: [744, 106, 798, 738],
+    };
+    assert_eq!(Effort::of(out.verdict, &out.stats), want);
+}
+
+#[test]
+fn sweep_entry_point_on_a_token_ring_to_horizon_4() {
+    let task = divine::tasks(Scale::Quick)
+        .into_iter()
+        .find(|t| t.name == "divine/ring-broken-2")
+        .expect("task exists");
+    assert!(task.program.has_loops());
+    let opts = VerifyOptions {
+        max_bound: 4,
+        seed: SEED,
+        ..VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre)
+    };
+    let out = try_verify_sweep_full(&task.program, &opts).expect("sweeps");
+    // (bound, verdict, decisions, conflicts, propagations) per frame.
+    let frames: Vec<(u32, Verdict, u64, u64, u64)> = out
+        .frames
+        .iter()
+        .map(|f| (f.bound, f.verdict, f.decisions, f.conflicts, f.propagations))
+        .collect();
+    let want_frames = vec![
+        (1, Verdict::Unsafe, 128, 9, 957),
+        (2, Verdict::Unsafe, 39, 2, 463),
+        (3, Verdict::Unsafe, 57, 2, 382),
+        (4, Verdict::Unsafe, 42, 0, 287),
+    ];
+    assert_eq!(frames, want_frames);
+    let want = Effort {
+        verdict: Verdict::Unsafe,
+        decisions: 266,
+        conflicts: 13,
+        propagations: 2089,
+        eog: [123, 69, 113, 59],
+    };
+    assert_eq!(Effort::of(out.verdict, &out.stats), want);
 }

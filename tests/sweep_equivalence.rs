@@ -23,7 +23,8 @@ fn assert_sweep_matches_scratch(
         max_bound: HORIZON,
         ..VerifyOptions::new(mm, Strategy::Zpre)
     };
-    let scratch = verify_bmc(program, HORIZON, &opts);
+    let scratch =
+        verify_bmc(program, HORIZON, &opts).unwrap_or_else(|e| panic!("{name} {mm}: {e}"));
     let sweep = try_verify_sweep(program, &opts).unwrap_or_else(|e| panic!("{name} {mm}: {e}"));
     assert_eq!(
         sweep.verdict, scratch.verdict,
