@@ -1,4 +1,4 @@
-.PHONY: build test bench-eog bench-eog-quick bench-sweep bench-sweep-quick bench-share bench-share-quick bench-prune bench-prune-quick trace-baselines trace-gate
+.PHONY: build test bench-compare bench-compare-quick bench-eog bench-eog-quick trace-baselines trace-gate
 
 build:
 	cargo build --release
@@ -6,56 +6,35 @@ build:
 test:
 	cargo test -q
 
-# Full EOG microbenchmark sweep (all shapes at 10^2..10^4) plus the
-# end-to-end stress/wmm suite comparison under zpre vs zpre-dfs-check.
-# Appends NDJSON measurements to BENCH_EOG.json so the perf trajectory
-# accumulates across commits.
+# Paired A/B comparisons (sweep, share, prune, eog) at full scale under
+# the paper's §5 protocol: 200k-conflict budget, every task under
+# SC/TSO/PSO, time summed over pairs not both unknown. Each comparison
+# asserts identical verdicts pair by pair, appends its rows, family sums
+# and aggregate to BENCH.json so the trajectory accumulates across
+# commits, and checks its gate; all four run even if one fails.
+COMPARISONS := sweep share prune eog
+
+bench-compare: build
+	@fail=0; for c in $(COMPARISONS); do \
+		./target/release/compare-bench $$c --tag "$${TAG:-local}" || fail=1; \
+	done; test $$fail -eq 0
+
+# Quick smoke variant for CI: quick-scale families, looser timing
+# tolerance (50%), results to a scratch file instead of BENCH.json.
+bench-compare-quick: build
+	@fail=0; for c in $(COMPARISONS); do \
+		./target/release/compare-bench $$c --quick --tag ci-smoke \
+			--out /tmp/compare-smoke.json || fail=1; \
+	done; test $$fail -eq 0
+
+# EOG engine microbenchmark: every synthetic shape at 10^2..10^4 nodes,
+# incremental vs full DFS, appended to BENCH_EOG.json.
 bench-eog: build
-	./target/release/eog-bench --suite --tag "$${TAG:-local}"
+	./target/release/eog-bench --tag "$${TAG:-local}"
 
-# Quick smoke variant for CI: small sizes, quick-scale suite, results to
-# a scratch file instead of the tracked BENCH_EOG.json.
+# Quick smoke variant for CI: sizes up to 10^3, scratch output file.
 bench-eog-quick: build
-	./target/release/eog-bench --quick --suite --tag ci-smoke --out /tmp/eog-smoke.json
-
-# Scratch vs incremental bound-sweep comparison on the stress + wmm
-# families (plus loopy marker-frame tasks). Asserts identical verdicts
-# pair by pair, appends per-task rows and family aggregates to
-# BENCH_SWEEP.json, and fails unless the stress+wmm aggregate sweep is
-# >= 1.5x faster than per-bound scratch.
-bench-sweep: build
-	./target/release/sweep-bench --tag "$${TAG:-local}"
-
-# Quick smoke variant for CI: quick-scale families, scratch output file.
-bench-sweep-quick: build
-	./target/release/sweep-bench --quick --tag ci-smoke --out /tmp/sweep-smoke.json
-
-# Shared vs isolated portfolio comparison on the stress + wmm families
-# (plus a contended family generating heavy lemma traffic). Asserts
-# identical verdicts pair by pair, appends per-task rows and family
-# aggregates to BENCH_SHARE.json, and fails unless the shared aggregate
-# wall clock stays within tolerance of isolated with non-zero import hits.
-bench-share: build
-	./target/release/share-bench --tag "$${TAG:-local}"
-
-# Quick smoke variant for CI: quick-scale families, scratch output file,
-# looser timing bar (tiny tasks make portfolio timing noisy).
-bench-share-quick: build
-	./target/release/share-bench --quick --tag ci-smoke --tolerance 50 --out /tmp/share-smoke.json
-
-# Pruned vs unpruned encoding comparison on the stress + wmm families plus
-# the lock-heavy pthread and join-heavy contended families. Asserts
-# identical verdicts pair by pair, appends per-task rows and family
-# aggregates to BENCH_PRUNE.json, and fails unless the lock/join-heavy
-# families show a positive interference-variable reduction with the pruned
-# aggregate wall clock within tolerance of unpruned.
-bench-prune: build
-	./target/release/prune-bench --tag "$${TAG:-local}"
-
-# Quick smoke variant for CI: quick-scale families, scratch output file,
-# looser timing bar (tiny tasks make encode-time jitter dominate).
-bench-prune-quick: build
-	./target/release/prune-bench --quick --tag ci-smoke --tolerance 50 --out /tmp/prune-smoke.json
+	./target/release/eog-bench --quick --tag ci-smoke --out /tmp/eog-smoke.json
 
 # --- Trace analytics & the telemetry regression gate -------------------
 #

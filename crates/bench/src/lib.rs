@@ -2,14 +2,16 @@
 //!
 //! Runs the workload suite through the verifier under every (memory model,
 //! strategy) combination and aggregates the measurements into the paper's
-//! tables and figures. The `harness` binary (`src/bin/harness.rs`)
-//! regenerates each table/figure; the Criterion benches under `benches/`
-//! provide statistically sampled timings on representative subsets.
+//! tables and figures. Two binaries drive it: `harness`
+//! (`src/bin/harness.rs`) regenerates each table/figure, and
+//! `compare-bench` (`src/bin/compare.rs`) runs the paired A/B
+//! comparisons of [`compare`] into the `BENCH.json` ledger.
 
 #![warn(missing_docs)]
 
 pub mod aggregate;
 pub mod ascii;
+pub mod compare;
 pub mod families;
 pub mod runner;
 pub mod sweep;
@@ -21,4 +23,3 @@ pub use runner::{
     run_suite_portfolio_streaming, run_suite_streaming, telemetry_json, to_csv, to_json,
     RowTelemetry, RunConfig, TaskResult, CSV_HEADER,
 };
-pub use sweep::{compare_one, compare_suite, SweepAggregate, SweepComparison};

@@ -39,7 +39,7 @@ pub struct RunConfig {
     pub share: Option<ShareConfig>,
     /// Run the static interference-pruning pass before encoding (the
     /// verifier's default). `false` measures the historic unpruned
-    /// encoding — the ablation side of `make bench-prune`.
+    /// encoding — side A of `compare-bench prune`.
     pub prune: bool,
 }
 
@@ -342,7 +342,7 @@ pub fn run_one(task: &Task, mm: MemoryModel, strategy: Strategy, cfg: &RunConfig
     }
 }
 
-fn verdict_str(v: Verdict) -> &'static str {
+pub(crate) fn verdict_str(v: Verdict) -> &'static str {
     match v {
         Verdict::Safe => "safe",
         Verdict::Unsafe => "unsafe",

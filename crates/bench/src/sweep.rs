@@ -1,4 +1,5 @@
-//! Scratch-vs-incremental bound-sweep comparison.
+//! The sides of the `sweep` comparison: per-bound scratch solving vs the
+//! incremental bound sweep.
 //!
 //! The paper's experimental setup generates one SMT instance per loop
 //! unrolling bound `k = 1..=K` and solves each from scratch — every bound
@@ -8,104 +9,18 @@
 //! inheriting learnt clauses, phase saving, activity, and the order
 //! theory's fixed program-order state from earlier bounds.
 //!
-//! [`compare_one`] races both drivers on a task, asserts the verdicts are
-//! identical (this module doubles as an equivalence oracle), and records
-//! wall-clock plus reused-learnt/decision telemetry. The `sweep-bench`
-//! binary appends the rows to `BENCH_SWEEP.json` as NDJSON so the perf
-//! trajectory accumulates across commits.
+//! `compare_one` races both drivers on a task, asserts the verdicts are
+//! identical at every bound (this module doubles as an equivalence
+//! oracle), and returns the pair with wall-clock plus bound, decision,
+//! conflict, frame and reused-learnt counters for the pair loop in
+//! [`crate::compare`].
 
-use rayon::prelude::*;
 use zpre::{try_verify, try_verify_sweep_full, Strategy, Verdict, VerifyOptions};
 use zpre_prog::MemoryModel;
 use zpre_workloads::Task;
 
-use crate::runner::RunConfig;
-
-/// One task raced through both sweep drivers under one memory model.
-#[derive(Clone, Debug)]
-pub struct SweepComparison {
-    /// Task name.
-    pub task: String,
-    /// Subcategory name.
-    pub subcat: String,
-    /// Memory-model name.
-    pub mm: String,
-    /// The (identical) verdict: "safe" / "unsafe" / "unknown".
-    pub verdict: String,
-    /// Bound at which the scratch loop stopped.
-    pub scratch_bound: u32,
-    /// Bound reported by the incremental sweep (1 for loop-free programs,
-    /// whose single frame answers every bound).
-    pub sweep_bound: u32,
-    /// Total scratch wall clock across all bounds, milliseconds
-    /// (re-encoding included — each bound is a fresh instance).
-    pub scratch_ms: f64,
-    /// Total incremental wall clock (one encode + all frames), ms.
-    pub sweep_ms: f64,
-    /// Decisions summed over all scratch bounds.
-    pub scratch_decisions: u64,
-    /// Decisions across all incremental frames (one solver, cumulative).
-    pub sweep_decisions: u64,
-    /// Conflicts summed over all scratch bounds.
-    pub scratch_conflicts: u64,
-    /// Conflicts across all incremental frames.
-    pub sweep_conflicts: u64,
-    /// Frames the incremental sweep solved.
-    pub frames: u32,
-    /// Learnt clauses inherited from earlier frames, summed over frame
-    /// entries — the state a scratch restart would have thrown away.
-    pub reused_learnts: u64,
-    /// `true` when the task has no loops (sweep collapses to one frame).
-    pub loop_free: bool,
-}
-
-impl SweepComparison {
-    /// Scratch-over-incremental wall-clock ratio (> 1 means the sweep won).
-    pub fn speedup(&self) -> f64 {
-        if self.sweep_ms > 0.0 {
-            self.scratch_ms / self.sweep_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// One NDJSON line for `BENCH_SWEEP.json`.
-    pub fn json_line(&self, tag: &str) -> String {
-        format!(
-            "{{\"tag\": \"{}\", \"task\": \"{}\", \"subcat\": \"{}\", \"mm\": \"{}\", \
-             \"verdict\": \"{}\", \"scratch_bound\": {}, \"sweep_bound\": {}, \
-             \"scratch_ms\": {:.3}, \"sweep_ms\": {:.3}, \"speedup\": {:.2}, \
-             \"scratch_decisions\": {}, \"sweep_decisions\": {}, \
-             \"scratch_conflicts\": {}, \"sweep_conflicts\": {}, \
-             \"frames\": {}, \"reused_learnts\": {}, \"loop_free\": {}}}",
-            tag,
-            self.task,
-            self.subcat,
-            self.mm,
-            self.verdict,
-            self.scratch_bound,
-            self.sweep_bound,
-            self.scratch_ms,
-            self.sweep_ms,
-            self.speedup(),
-            self.scratch_decisions,
-            self.sweep_decisions,
-            self.scratch_conflicts,
-            self.sweep_conflicts,
-            self.frames,
-            self.reused_learnts,
-            self.loop_free,
-        )
-    }
-}
-
-fn verdict_str(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Safe => "safe",
-        Verdict::Unsafe => "unsafe",
-        Verdict::Unknown => "unknown",
-    }
-}
+use crate::compare::{Pair, Side};
+use crate::runner::{verdict_str, RunConfig};
 
 /// Races the per-bound scratch protocol against the incremental sweep on
 /// one (task, memory model) pair and asserts the verdicts agree at every
@@ -123,12 +38,7 @@ fn verdict_str(v: Verdict) -> &'static str {
 ///
 /// Panics when the two drivers disagree on any bound's verdict — a bench
 /// run is also an equivalence check, and a divergence must sink it loudly.
-pub fn compare_one(
-    task: &Task,
-    mm: MemoryModel,
-    max_bound: u32,
-    cfg: &RunConfig,
-) -> SweepComparison {
+pub(crate) fn compare_one(task: &Task, mm: MemoryModel, max_bound: u32, cfg: &RunConfig) -> Pair {
     let base = VerifyOptions {
         mm,
         strategy: Strategy::Zpre,
@@ -205,109 +115,38 @@ pub fn compare_one(
         task.name
     );
 
-    SweepComparison {
-        task: task.name.clone(),
-        subcat: task.subcat.name().to_string(),
-        mm: mm.name().to_string(),
-        verdict: verdict_str(sweep.verdict).to_string(),
-        scratch_bound,
-        sweep_bound: sweep.bound,
-        scratch_ms,
-        sweep_ms,
-        scratch_decisions,
-        scratch_conflicts,
-        sweep_decisions: sweep.stats.decisions,
-        sweep_conflicts: sweep.stats.conflicts,
-        frames: sweep.frames.len() as u32,
-        reused_learnts: sweep.frames.iter().map(|f| f.reused_learnts).sum(),
-        loop_free: sweep.loop_free,
-    }
-}
-
-/// Races `tasks × mms` in parallel.
-pub fn compare_suite(
-    tasks: &[Task],
-    mms: &[MemoryModel],
-    max_bound: u32,
-    cfg: &RunConfig,
-) -> Vec<SweepComparison> {
-    let mut jobs: Vec<(&Task, MemoryModel)> = Vec::new();
-    for t in tasks {
-        for &mm in mms {
-            jobs.push((t, mm));
-        }
-    }
-    jobs.par_iter()
-        .map(|&(task, mm)| compare_one(task, mm, max_bound, cfg))
-        .collect()
-}
-
-/// Aggregate wall clock for a set of comparison rows.
-#[derive(Clone, Debug, Default)]
-pub struct SweepAggregate {
-    /// Rows aggregated.
-    pub rows: usize,
-    /// Total scratch wall clock, ms.
-    pub scratch_ms: f64,
-    /// Total incremental wall clock, ms.
-    pub sweep_ms: f64,
-    /// Total learnt clauses inherited across frame entries.
-    pub reused_learnts: u64,
-    /// Total incremental decisions.
-    pub sweep_decisions: u64,
-    /// Total scratch decisions.
-    pub scratch_decisions: u64,
-}
-
-impl SweepAggregate {
-    /// Aggregates a slice of rows.
-    pub fn of(rows: &[SweepComparison]) -> SweepAggregate {
-        let mut a = SweepAggregate {
-            rows: rows.len(),
-            ..SweepAggregate::default()
-        };
-        for r in rows {
-            a.scratch_ms += r.scratch_ms;
-            a.sweep_ms += r.sweep_ms;
-            a.reused_learnts += r.reused_learnts;
-            a.sweep_decisions += r.sweep_decisions;
-            a.scratch_decisions += r.scratch_decisions;
-        }
-        a
-    }
-
-    /// Aggregate scratch-over-incremental speedup.
-    pub fn speedup(&self) -> f64 {
-        if self.sweep_ms > 0.0 {
-            self.scratch_ms / self.sweep_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// One NDJSON summary line for `BENCH_SWEEP.json`.
-    pub fn json_line(&self, tag: &str, family: &str) -> String {
-        format!(
-            "{{\"tag\": \"{}\", \"family\": \"{}\", \"rows\": {}, \
-             \"scratch_ms\": {:.3}, \"sweep_ms\": {:.3}, \"speedup\": {:.2}, \
-             \"scratch_decisions\": {}, \"sweep_decisions\": {}, \"reused_learnts\": {}}}",
-            tag,
-            family,
-            self.rows,
-            self.scratch_ms,
-            self.sweep_ms,
-            self.speedup(),
-            self.scratch_decisions,
-            self.sweep_decisions,
-            self.reused_learnts,
-        )
+    let side = |v: Verdict, ms: f64| Side {
+        verdict: verdict_str(v).to_string(),
+        ms,
+    };
+    Pair {
+        a: side(scratch_verdict, scratch_ms),
+        b: side(sweep.verdict, sweep_ms),
+        // In `Compare::Sweep.counters()` order.
+        counters: vec![
+            u64::from(scratch_bound),
+            u64::from(sweep.bound),
+            scratch_decisions,
+            sweep.stats.decisions,
+            scratch_conflicts,
+            sweep.stats.conflicts,
+            sweep.frames.len() as u64,
+            sweep.frames.iter().map(|f| f.reused_learnts).sum(),
+        ],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::{run_pairs, Compare};
     use zpre_workloads::{subcategory, Scale, Subcat};
+
+    /// The value of the sweep counter `name` in `counters`.
+    fn counter(counters: &[u64], name: &str) -> u64 {
+        let i = Compare::Sweep.counters().iter().position(|&c| c == name);
+        counters[i.expect("sweep counter")]
+    }
 
     #[test]
     fn stress_rows_agree_and_carry_telemetry() {
@@ -316,19 +155,26 @@ mod tests {
             .take(2)
             .collect();
         let cfg = RunConfig::default();
-        let rows = compare_suite(&tasks, &[MemoryModel::Sc], 4, &cfg);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
+        let run = run_pairs(Compare::Sweep, &[("stress", tasks)], |t, mm| {
+            compare_one(t, mm, 4, &cfg)
+        });
+        assert_eq!(run.rows.len(), 2 * MemoryModel::ALL.len());
+        for r in &run.rows {
             // compare_one asserted the verdicts already; the rows must be
             // well-formed on top of that.
-            assert!(r.loop_free, "stress tasks are loop-free");
-            assert_eq!(r.frames, 1, "loop-free sweep collapses to one frame");
-            assert!(r.scratch_ms > 0.0 && r.sweep_ms > 0.0);
+            let c = &r.pair.counters;
+            assert_eq!(
+                counter(c, "frames"),
+                1,
+                "loop-free sweep collapses to one frame"
+            );
+            assert_eq!(counter(c, "bound_b"), 1, "stress tasks are loop-free");
+            assert!(r.pair.a.ms > 0.0 && r.pair.b.ms > 0.0);
         }
-        let agg = SweepAggregate::of(&rows);
-        assert_eq!(agg.rows, 2);
-        let line = agg.json_line("test", "stress");
-        assert!(line.contains("\"family\": \"stress\""));
+        assert_eq!(run.total.rows, 6);
+        assert_eq!(run.total.disagreements, 0);
+        let lines = run.ndjson("test", true);
+        assert!(lines[6].contains("\"kind\": \"family\", \"family\": \"stress\""));
     }
 
     #[test]
@@ -342,10 +188,13 @@ mod tests {
             ])
             .build();
         let task = Task::new("loopy/kstar4", Subcat::Ext, p, 6, Default::default());
-        let row = compare_one(&task, MemoryModel::Sc, 6, &RunConfig::default());
-        assert_eq!(row.verdict, "unsafe");
-        assert_eq!(row.sweep_bound, 4);
-        assert_eq!(row.frames, 6, "full protocol solves every bound");
-        assert!(!row.loop_free);
+        let pair = compare_one(&task, MemoryModel::Sc, 6, &RunConfig::default());
+        assert_eq!(pair.b.verdict, "unsafe");
+        assert_eq!(counter(&pair.counters, "bound_b"), 4);
+        assert_eq!(
+            counter(&pair.counters, "frames"),
+            6,
+            "full protocol solves every bound"
+        );
     }
 }

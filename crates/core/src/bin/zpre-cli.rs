@@ -133,7 +133,7 @@ corrupt-journal] [--kill-after N] [--heartbeat SECS] [--metrics-out FILE] [--no-
          zpre-cli trace flame FILE [--out FILE]\n  \
          zpre-cli trace diff BASE NEW [--gate-tolerance PCT] [--gate-time] [--all] \
          [--json]\n\nstrategies: baseline zpre- zpre zpre-h2 zpre-h3 \
-         zpre-fixed-true zpre-no-revprop zpre-dfs-check zpre-noprune branch-cond"
+         zpre-fixed-true zpre-no-revprop zpre-dfs-check branch-cond"
     );
     ExitCode::from(2)
 }

@@ -207,7 +207,7 @@ fn prepare_encoding(
     ssa: &SsaProgram,
     opts: &VerifyOptions,
 ) -> Result<Option<PruneReport>, VerifyError> {
-    if !opts.prunes() && opts.max_memory.is_none() {
+    if !opts.prune && opts.max_memory.is_none() {
         return Ok(None);
     }
     let order = ProgramOrder::new(ssa, opts.mm).ok_or(EncodeError::CyclicProgramOrder)?;
@@ -220,7 +220,7 @@ fn prepare_encoding(
             }));
         }
     }
-    if !opts.prunes() {
+    if !opts.prune {
         return Ok(None);
     }
     let rec = opts.recorder.as_ref();

@@ -76,8 +76,8 @@ pub struct VerifyOptions {
     /// Run the static interference-pruning pass (`zpre-analysis`) before
     /// encoding: must-happen-before, lockset and thread-locality analyses
     /// shrink `V_rf`/`V_ws` and refine the `#write` counts H4 sees.
-    /// Default on; `--no-prune` (or [`Strategy::ZpreNoPrune`]) reproduces
-    /// the historic unpruned encoding.
+    /// Default on; `false` (`--no-prune`) reproduces the historic unpruned
+    /// encoding.
     pub prune: bool,
     /// Re-validate extracted executions on `Unsafe` answers.
     pub validate_models: bool,
@@ -143,12 +143,6 @@ impl VerifyOptions {
             strategy,
             ..VerifyOptions::default()
         }
-    }
-
-    /// Whether the static pruning pass runs: `prune` is set and the
-    /// strategy is not [`Strategy::ZpreNoPrune`].
-    pub(crate) fn prunes(&self) -> bool {
-        self.prune && self.strategy != Strategy::ZpreNoPrune
     }
 }
 
@@ -275,7 +269,7 @@ pub(crate) fn verify_ssa_inner(
     // equivalence suite. Gated off for fault-injection, portfolio members
     // (share/cancel), and inconclusive verdicts.
     #[cfg(debug_assertions)]
-    if opts.prunes()
+    if opts.prune
         && opts.fault.is_none()
         && opts.share.is_none()
         && opts.cancel.is_none()

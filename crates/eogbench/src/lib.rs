@@ -17,7 +17,9 @@
 //!
 //! All randomness comes from a seeded LCG so runs are reproducible; the
 //! `eog-bench` binary appends one NDJSON line per run to `BENCH_EOG.json`
-//! to keep a perf trajectory across commits.
+//! to keep a perf trajectory across commits. The end-to-end replay of the
+//! stress/wmm suites under both engines is `compare-bench eog` in
+//! `zpre-bench`.
 
 #![warn(missing_docs)]
 
